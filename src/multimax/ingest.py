@@ -1,22 +1,30 @@
 """File formats: label/prediction CSVs and the flat audit manifest.
 
-Inputs are validated row by row and rejected with path:line context; an
-audit either ingests a file completely or refuses it, there is no partial
-acceptance.  Predictions arrive in long form (run_id, instance_id,
-prediction) using the same value vocabulary as the label file, so the files
-stay greppable and diffable.
+Each CSV file is parsed once and validated in bulk.  Only when a bulk check
+fails is the file rescanned row by row, to reject it with path:line context
+naming the physical line where the offending row starts; an audit either
+ingests a file completely or refuses it, there is no partial acceptance.
+Quoted fields are kept verbatim, embedded line breaks included.
+Predictions arrive in long form (run_id, instance_id, prediction) using the
+same value vocabulary as the label file, so the files stay greppable and
+diffable.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
+from itertools import islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+
+import numpy as np
 
 from .banding import BandingPolicy
 from .core import InstanceIndex, LabelVector, ModelRun, PredictionVector
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 
 LABEL_HEADER = ["instance_id", "label"]
 PREDICTION_HEADER = ["run_id", "instance_id", "prediction"]
@@ -34,38 +42,106 @@ MANIFEST_OPTIONAL = (
     "profile_max_instances",
 )
 PROVENANCE_PREFIX = "provenance."
+_CHUNK_ROWS = 4096
 
 
-def _read_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
+def _csv_reader(path: Path) -> Iterator[list[str]]:
+    """A csv reader over the file; failures to read it become ValidationError.
+
+    The file is read with one call and decoded as it is parsed.  With
+    newline="" only LF, CR and CRLF end a line, as the csv module expects,
+    so quoted fields keep every other separator, U+2028 included.
+    """
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", path=str(path)) from None
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
+
+
+def _stripped_columns(rows: list[list[str]], width: int) -> list[list[str]] | None:
+    """The rows' stripped columns, or None unless every row has `width` non-empty cells."""
+    if not set(map(len, rows)) <= {width}:
+        return None
+    columns = [list(map(str.strip, map(itemgetter(k), rows))) for k in range(width)]
+    return None if any("" in column for column in columns) else columns
+
+
+def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
+    """Parse a CSV file once and return its data columns, cells stripped.
+
+    Rows stream through in chunks of _CHUNK_ROWS, so only one chunk's row
+    lists are alive at a time; that keeps both the peak memory and the
+    cyclic collector's work small.  Blank rows are skipped.  A row with the
+    wrong field count or an empty field makes the file fail, through
+    _scan_rows, which names the line.
+    """
+    columns: list[list[str]] = [[] for _ in header]
+    reader = _csv_reader(path)
+    first = next(reader, None)
+    if first is None:
         raise ValidationError("file is empty", path=str(path))
-    got = [cell.strip() for cell in rows[0]]
+    got = [cell.strip() for cell in first]
     if got != header:
         raise ValidationError(
             f"expected header {','.join(header)!r}, got {','.join(got)!r}",
             path=str(path),
             line=1,
         )
+    for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+        parts = _stripped_columns(chunk, len(header))
+        if parts is None:  # blank rows, or a faulty row
+            kept = [row for row in chunk if any(map(str.strip, row))]
+            parts = _stripped_columns(kept, len(header))
+        if parts is None:
+            _scan_rows(path, header)
+            raise _no_fault_found(path)
+        for column, part in zip(columns, parts):
+            column.extend(part)
+    if not columns[0]:
+        raise ValidationError("no data rows", path=str(path))
+    return columns
+
+
+def _scan_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
+    """Re-read a file row by row: each data row's start line and stripped cells.
+
+    The only row-wise validator, run after a bulk check failed, to raise the
+    first row with the wrong field count or an empty field.  A row is named
+    by the physical line it starts on, also when quoted line breaks make it
+    span several.  The header was checked by the bulk read.
+    """
     out = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
+    reader = _csv_reader(path)
+    next(reader)
+    start = reader.line_num + 1
+    for row in reader:
+        line, start = start, reader.line_num + 1
+        if not any(map(str.strip, row)):
             continue
         if len(row) != len(header):
             raise ValidationError(
-                f"expected {len(header)} fields, got {len(row)}", path=str(path), line=lineno
+                f"expected {len(header)} fields, got {len(row)}", path=str(path), line=line
             )
         cells = [cell.strip() for cell in row]
-        if any(not cell for cell in cells):
-            raise ValidationError("empty field", path=str(path), line=lineno)
-        out.append((lineno, cells))
-    if not out:
-        raise ValidationError("no data rows", path=str(path))
+        if not all(cells):
+            raise ValidationError("empty field", path=str(path), line=line)
+        out.append((line, cells))
     return out
+
+
+def _no_fault_found(path: Path) -> InvariantViolation:
+    return InvariantViolation(f"{path}: a bulk ingest check failed but the row scan found no fault")
+
+
+def _raise_first_duplicate(path: Path, header: list[str], message: str) -> NoReturn:
+    """Raise `message` (formatted with the id) at the first repeated id in column one."""
+    seen: set[str] = set()
+    for line, cells in _scan_rows(path, header):
+        if cells[0] in seen:
+            raise ValidationError(message.format(cells[0]), path=str(path), line=line)
+        seen.add(cells[0])
+    raise _no_fault_found(path)
 
 
 def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[str, int]]:
@@ -76,18 +152,9 @@ def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[st
     index.  The returned mapping sends each raw value to 0 or 1 and is the
     vocabulary prediction files must use.
     """
-    rows = _read_rows(path, LABEL_HEADER)
-    ids: list[str] = []
-    raw: list[str] = []
-    seen: set[str] = set()
-    for lineno, (instance_id, value) in rows:
-        if instance_id in seen:
-            raise ValidationError(
-                f"duplicate instance id {instance_id!r}", path=str(path), line=lineno
-            )
-        seen.add(instance_id)
-        ids.append(instance_id)
-        raw.append(value)
+    ids, raw = _read_columns(path, LABEL_HEADER)
+    if len(set(ids)) != len(ids):
+        _raise_first_duplicate(path, LABEL_HEADER, "duplicate instance id {!r}")
     values = sorted(set(raw))
     if favourable_label not in values:
         raise ValidationError(
@@ -105,43 +172,108 @@ def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[st
         )
     value_map = {value: 1 if value == favourable_label else 0 for value in values}
     index = InstanceIndex(tuple(ids))
-    return LabelVector(index, tuple(value_map[v] for v in raw)), value_map
+    return LabelVector(index, tuple(map(value_map.__getitem__, raw))), value_map
 
 
-def _read_prediction_table(
-    path: Path, value_map: Mapping[str, int]
-) -> tuple[list[str], dict[str, dict[str, int]], dict[str, int]]:
-    """Parse a long-form prediction file into per-run id->value mappings.
+def _prediction_matrix(
+    path: Path, value_map: Mapping[str, int], index: InstanceIndex | None
+) -> tuple[tuple[str, ...], InstanceIndex, np.ndarray]:
+    """Parse a long-form prediction file into a runs x instances 0/1 matrix.
 
-    Returns run ids in first-appearance order, the per-run mappings, and
-    instance ids in first-appearance order (as an ordered mapping to their
-    first line, for error reporting).
+    Returns run ids in first-appearance order, the instance index and the
+    uint8 matrix whose rows follow the run ids.  `index` is the validation
+    index; None means a fairness file, whose index is the first run's
+    instances in file order.  Every run must predict every index instance
+    exactly once and nothing else: one bincount over the flat cell index
+    finds duplicates, missing cells and unknown instances, which all send
+    the file to _raise_prediction_fault.
     """
-    rows = _read_rows(path, PREDICTION_HEADER)
-    run_order: list[str] = []
-    per_run: dict[str, dict[str, int]] = {}
-    instance_first_seen: dict[str, int] = {}
-    for lineno, (run_id, instance_id, value) in rows:
+    run_col, instance_col, value_col = _read_columns(path, PREDICTION_HEADER)
+    cells = len(run_col)
+    try:
+        values = np.fromiter(map(value_map.__getitem__, value_col), dtype=np.uint8, count=cells)
+    except KeyError:
+        _raise_prediction_fault(path, value_map, index)
+    run_ids = tuple(dict.fromkeys(run_col))
+    run_positions = {run_id: pos for pos, run_id in enumerate(run_ids)}
+    rows = np.fromiter(map(run_positions.__getitem__, run_col), dtype=np.intp, count=cells)
+    if index is None:
+        first_run = map(instance_col.__getitem__, np.flatnonzero(rows == 0).tolist())
+        target = InstanceIndex(tuple(dict.fromkeys(first_run)))
+    else:
+        target = index
+    width = target.size + 1  # the last column collects instances outside the index
+    positions = {instance_id: pos for pos, instance_id in enumerate(target.ids)}
+    cols = np.fromiter(
+        map(positions.get, instance_col, repeat(target.size)), dtype=np.intp, count=cells
+    )
+    counts = np.bincount(rows * width + cols, minlength=len(run_ids) * width)
+    counts = counts.reshape(len(run_ids), width)
+    if counts[:, -1].any() or (counts[:, :-1] != 1).any():
+        _raise_prediction_fault(path, value_map, index)
+    matrix = np.empty((len(run_ids), target.size), dtype=np.uint8)
+    matrix[rows, cols] = values
+    return run_ids, target, matrix
+
+
+def _raise_prediction_fault(
+    path: Path, value_map: Mapping[str, int], index: InstanceIndex | None
+) -> NoReturn:
+    """Rescan a prediction file that failed a bulk check and raise its first fault.
+
+    Precedence is that of a row-by-row read: field errors anywhere in the
+    file, then unknown values and duplicate cells in row order, then per
+    run, in first-appearance order, an instance outside the index before
+    missing instances.  `index` is as for _prediction_matrix.
+    """
+    per_run: dict[str, dict[str, None]] = {}
+    first_seen: dict[str, int] = {}
+    for line, (run_id, instance_id, value) in _scan_rows(path, PREDICTION_HEADER):
         if value not in value_map:
             raise ValidationError(
                 f"prediction value {value!r} is not a label value "
                 f"(expected one of {sorted(value_map)})",
                 path=str(path),
-                line=lineno,
+                line=line,
             )
-        bucket = per_run.get(run_id)
-        if bucket is None:
-            bucket = per_run[run_id] = {}
-            run_order.append(run_id)
+        bucket = per_run.setdefault(run_id, {})
         if instance_id in bucket:
             raise ValidationError(
                 f"duplicate prediction for run {run_id!r}, instance {instance_id!r}",
                 path=str(path),
-                line=lineno,
+                line=line,
             )
-        bucket[instance_id] = value_map[value]
-        instance_first_seen.setdefault(instance_id, lineno)
-    return run_order, per_run, instance_first_seen
+        bucket[instance_id] = None
+        first_seen.setdefault(instance_id, line)
+    first_run = next(iter(per_run))
+    expected = per_run[first_run] if index is None else index
+    for run_id, bucket in per_run.items():
+        outside = [i for i in bucket if i not in expected]
+        if outside and index is None:
+            raise ValidationError(
+                f"run {run_id!r} predicts instance {outside[0]!r} outside the fairness index "
+                f"defined by run {first_run!r}",
+                path=str(path),
+                line=first_seen[outside[0]],
+            )
+        if outside:
+            raise ValidationError(
+                f"run {run_id!r} predicts unknown instance {outside[0]!r}", path=str(path)
+            )
+        missing = [i for i in expected if i not in bucket]
+        if missing and index is None:
+            raise ValidationError(
+                f"run {run_id!r} misses fairness instance {missing[0]!r} "
+                f"({len(missing)} missing in total)",
+                path=str(path),
+            )
+        if missing:
+            raise ValidationError(
+                f"run {run_id!r} misses {len(missing)} instances "
+                f"(first missing: {missing[0]!r})",
+                path=str(path),
+            )
+    raise _no_fault_found(path)
 
 
 def load_predictions(
@@ -155,30 +287,16 @@ def load_predictions(
     Every run must predict every instance of the label index and nothing
     else.  Runs come back in first-appearance order.
     """
-    run_order, per_run, _ = _read_prediction_table(path, value_map)
-    index = labels.index
-    runs = []
-    for run_id in run_order:
-        bucket = per_run[run_id]
-        unknown = [i for i in bucket if i not in index]
-        if unknown:
-            raise ValidationError(
-                f"run {run_id!r} predicts unknown instance {unknown[0]!r}", path=str(path)
-            )
-        missing = [i for i in index.ids if i not in bucket]
-        if missing:
-            raise ValidationError(
-                f"run {run_id!r} misses {len(missing)} instances "
-                f"(first missing: {missing[0]!r})",
-                path=str(path),
-            )
-        preds = PredictionVector(index, tuple(bucket[i] for i in index.ids))
-        runs.append(
-            ModelRun.from_predictions(
-                run_id=run_id, family_tag=family_tag, preds_validation=preds, labels=labels
-            )
+    run_ids, index, matrix = _prediction_matrix(path, value_map, labels.index)
+    return tuple(
+        ModelRun.from_predictions(
+            run_id=run_id,
+            family_tag=family_tag,
+            preds_validation=PredictionVector(index, tuple(row.tolist())),
+            labels=labels,
         )
-    return tuple(runs)
+        for run_id, row in zip(run_ids, matrix)
+    )
 
 
 def load_fairness_predictions(
@@ -189,29 +307,10 @@ def load_fairness_predictions(
     The fairness index is the first run's instance order; every other run
     must cover exactly the same instances.
     """
-    run_order, per_run, first_seen = _read_prediction_table(path, value_map)
-    first_run = run_order[0]
-    index = InstanceIndex(tuple(per_run[first_run].keys()))
-    vectors: dict[str, PredictionVector] = {}
-    for run_id in run_order:
-        bucket = per_run[run_id]
-        extra = [i for i in bucket if i not in index]
-        if extra:
-            raise ValidationError(
-                f"run {run_id!r} predicts instance {extra[0]!r} outside the fairness index "
-                f"defined by run {first_run!r}",
-                path=str(path),
-                line=first_seen[extra[0]],
-            )
-        missing = [i for i in index.ids if i not in bucket]
-        if missing:
-            raise ValidationError(
-                f"run {run_id!r} misses fairness instance {missing[0]!r} "
-                f"({len(missing)} missing in total)",
-                path=str(path),
-            )
-        vectors[run_id] = PredictionVector(index, tuple(bucket[i] for i in index.ids))
-    return index, vectors
+    run_ids, index, matrix = _prediction_matrix(path, value_map, None)
+    return index, {
+        run_id: PredictionVector(index, tuple(row.tolist())) for run_id, row in zip(run_ids, matrix)
+    }
 
 
 def attach_fairness(
@@ -244,14 +343,10 @@ def attach_fairness(
 
 def read_group_map(path: Path) -> dict[str, str]:
     """instance_id -> group name; duplicates rejected."""
-    rows = _read_rows(path, GROUP_HEADER)
-    out: dict[str, str] = {}
-    for lineno, (instance_id, group) in rows:
-        if instance_id in out:
-            raise ValidationError(
-                f"duplicate group assignment for {instance_id!r}", path=str(path), line=lineno
-            )
-        out[instance_id] = group
+    ids, groups = _read_columns(path, GROUP_HEADER)
+    out = dict(zip(ids, groups))
+    if len(out) != len(ids):
+        _raise_first_duplicate(path, GROUP_HEADER, "duplicate group assignment for {!r}")
     return out
 
 
@@ -298,7 +393,9 @@ def load_manifest(path: Path) -> AuditManifest:
     """
     path = Path(path)
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        # read_text turns \r\n and \r into \n; splitlines() would also split
+        # on \u2028, \x0c, \x85 and the like, which a value may hold.
+        lines = path.read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc}", path=str(path)) from None
     values: dict[str, str] = {}

@@ -7,6 +7,7 @@ hide in a test that re-derives values the same way.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from fractions import Fraction
 
@@ -14,6 +15,8 @@ import numpy as np
 
 from multimax.banding import PerformanceBand
 from multimax.core import ExactRatio, InstanceIndex, LabelVector, ModelRun, PredictionVector
+from multimax.errors import ValidationError
+from multimax.ingest import GROUP_HEADER, LABEL_HEADER, PREDICTION_HEADER
 
 
 def make_index(n: int, prefix: str = "i") -> InstanceIndex:
@@ -152,3 +155,170 @@ def oracle_pair_fractions(vectors: dict[str, tuple[int, ...]]) -> list[Fraction]
 def oracle_max_ensemble(vectors: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     rows = list(vectors.values())
     return tuple(max(row[pos] for row in rows) for pos in range(len(rows[0])))
+
+
+# ------------------------------------------------------------ ingest oracle
+# Row-by-row CSV ingest: every row is validated in file order, one at a
+# time.  The package validates in bulk and must agree with this on every
+# file: the same runs and vectors, or the same message and line.  Rows are
+# numbered by the physical line they start on.
+
+
+def oracle_read_rows(path, header):
+    try:
+        handle = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ValidationError(f"cannot read file: {exc}", path=str(path)) from None
+    with handle:
+        reader = csv.reader(handle)
+        rows = []
+        start = 1
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
+    if not rows:
+        raise ValidationError("file is empty", path=str(path))
+    got = [cell.strip() for cell in rows[0][1]]
+    if got != header:
+        raise ValidationError(
+            f"expected header {','.join(header)!r}, got {','.join(got)!r}",
+            path=str(path),
+            line=1,
+        )
+    out = []
+    for lineno, row in rows[1:]:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise ValidationError(
+                f"expected {len(header)} fields, got {len(row)}", path=str(path), line=lineno
+            )
+        cells = [cell.strip() for cell in row]
+        if any(not cell for cell in cells):
+            raise ValidationError("empty field", path=str(path), line=lineno)
+        out.append((lineno, cells))
+    if not out:
+        raise ValidationError("no data rows", path=str(path))
+    return out
+
+
+def oracle_read_labels(path, favourable_label):
+    rows = oracle_read_rows(path, LABEL_HEADER)
+    ids, raw, seen = [], [], set()
+    for lineno, (instance_id, value) in rows:
+        if instance_id in seen:
+            raise ValidationError(
+                f"duplicate instance id {instance_id!r}", path=str(path), line=lineno
+            )
+        seen.add(instance_id)
+        ids.append(instance_id)
+        raw.append(value)
+    values = sorted(set(raw))
+    if favourable_label not in values:
+        raise ValidationError(
+            f"favourable label {favourable_label!r} never occurs (values: {values})",
+            path=str(path),
+        )
+    if len(values) > 2:
+        raise ValidationError(
+            f"labels must be binary; found {len(values)} distinct values {values}",
+            path=str(path),
+        )
+    if len(values) == 1:
+        raise ValidationError(
+            f"labels must be binary; only {values[0]!r} occurs", path=str(path)
+        )
+    value_map = {value: 1 if value == favourable_label else 0 for value in values}
+    index = InstanceIndex(tuple(ids))
+    return LabelVector(index, tuple(value_map[v] for v in raw)), value_map
+
+
+def oracle_read_prediction_table(path, value_map):
+    rows = oracle_read_rows(path, PREDICTION_HEADER)
+    run_order, per_run, instance_first_seen = [], {}, {}
+    for lineno, (run_id, instance_id, value) in rows:
+        if value not in value_map:
+            raise ValidationError(
+                f"prediction value {value!r} is not a label value "
+                f"(expected one of {sorted(value_map)})",
+                path=str(path),
+                line=lineno,
+            )
+        bucket = per_run.get(run_id)
+        if bucket is None:
+            bucket = per_run[run_id] = {}
+            run_order.append(run_id)
+        if instance_id in bucket:
+            raise ValidationError(
+                f"duplicate prediction for run {run_id!r}, instance {instance_id!r}",
+                path=str(path),
+                line=lineno,
+            )
+        bucket[instance_id] = value_map[value]
+        instance_first_seen.setdefault(instance_id, lineno)
+    return run_order, per_run, instance_first_seen
+
+
+def oracle_load_predictions(path, labels, value_map, family_tag="ingested"):
+    run_order, per_run, _ = oracle_read_prediction_table(path, value_map)
+    index = labels.index
+    runs = []
+    for run_id in run_order:
+        bucket = per_run[run_id]
+        unknown = [i for i in bucket if i not in index]
+        if unknown:
+            raise ValidationError(
+                f"run {run_id!r} predicts unknown instance {unknown[0]!r}", path=str(path)
+            )
+        missing = [i for i in index.ids if i not in bucket]
+        if missing:
+            raise ValidationError(
+                f"run {run_id!r} misses {len(missing)} instances "
+                f"(first missing: {missing[0]!r})",
+                path=str(path),
+            )
+        preds = PredictionVector(index, tuple(bucket[i] for i in index.ids))
+        runs.append(
+            ModelRun.from_predictions(
+                run_id=run_id, family_tag=family_tag, preds_validation=preds, labels=labels
+            )
+        )
+    return tuple(runs)
+
+
+def oracle_load_fairness_predictions(path, value_map):
+    run_order, per_run, first_seen = oracle_read_prediction_table(path, value_map)
+    first_run = run_order[0]
+    index = InstanceIndex(tuple(per_run[first_run].keys()))
+    vectors = {}
+    for run_id in run_order:
+        bucket = per_run[run_id]
+        extra = [i for i in bucket if i not in index]
+        if extra:
+            raise ValidationError(
+                f"run {run_id!r} predicts instance {extra[0]!r} outside the fairness index "
+                f"defined by run {first_run!r}",
+                path=str(path),
+                line=first_seen[extra[0]],
+            )
+        missing = [i for i in index.ids if i not in bucket]
+        if missing:
+            raise ValidationError(
+                f"run {run_id!r} misses fairness instance {missing[0]!r} "
+                f"({len(missing)} missing in total)",
+                path=str(path),
+            )
+        vectors[run_id] = PredictionVector(index, tuple(bucket[i] for i in index.ids))
+    return index, vectors
+
+
+def oracle_read_group_map(path):
+    rows = oracle_read_rows(path, GROUP_HEADER)
+    out = {}
+    for lineno, (instance_id, group) in rows:
+        if instance_id in out:
+            raise ValidationError(
+                f"duplicate group assignment for {instance_id!r}", path=str(path), line=lineno
+            )
+        out[instance_id] = group
+    return out

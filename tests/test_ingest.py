@@ -1,14 +1,33 @@
 from __future__ import annotations
 
+import csv
+import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import make_index, two_band_runs
+from helpers import (
+    make_index,
+    oracle_load_fairness_predictions,
+    oracle_load_predictions,
+    oracle_read_group_map,
+    oracle_read_labels,
+    two_band_runs,
+)
+from multimax import ingest
 from multimax.banding import BandingPolicy
+from multimax.cli import main
 from multimax.core import ExactRatio, InstanceIndex, LabelVector, PredictionVector
 from multimax.errors import ValidationError
 from multimax.ingest import (
+    GROUP_HEADER,
+    LABEL_HEADER,
+    PREDICTION_HEADER,
     AuditManifest,
     attach_fairness,
     load_fairness_predictions,
@@ -305,6 +324,16 @@ class TestManifest:
             load_manifest(path)
         assert ":4:" in str(err.value)
 
+    def test_line_separators_inside_values(self, tmp_path):
+        note = "a\u2028b\x85c\x0cd"
+        lines = ["labels=l.csv", f"provenance.note={note}", "predictions=p.csv", "favourable_label=1"]
+        path = write(tmp_path / "m.txt", "\n".join(lines + ["band=strict"]) + "\n")
+        assert load_manifest(path).provenance == {"note": note}
+        path = write(tmp_path / "m.txt", "\r\n".join(lines + ["badkey=3", "band=strict"]) + "\r\n")
+        with pytest.raises(ValidationError) as err:
+            load_manifest(path)
+        assert "badkey" in str(err.value) and ":5:" in str(err.value)
+
     def test_non_integer_seed(self, tmp_path):
         path = write(
             tmp_path / "m.txt",
@@ -370,3 +399,171 @@ class TestPredictionWriter:
         _, runs = two_band_runs()
         with pytest.raises(ValueError):
             write_predictions_csv(tmp_path / "x.csv", runs, which="train")
+
+
+def write_rows(path, header, rows):
+    """Write a CSV file with every field quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, quoting=csv.QUOTE_ALL)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+class TestQuotedFields:
+    IDS = ("a\u2028b", "c\x0cd", "e\x85f", "g\nh")
+
+    def test_ids_survive_into_the_report(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("MULTIMAX_SEED", raising=False)
+        write_rows(tmp_path / "labels.csv", LABEL_HEADER, zip(self.IDS, "1010"))
+        runs = {"run\u2028one": "1100", "run\ntwo": "0011"}  # both 2/4, disagreeing everywhere
+        write_rows(
+            tmp_path / "preds.csv",
+            PREDICTION_HEADER,
+            [(run_id, i, v) for run_id, bits in runs.items() for i, v in zip(self.IDS, bits)],
+        )
+        write_manifest(
+            tmp_path / "m.txt",
+            {"labels": "labels.csv", "predictions": "preds.csv", "favourable_label": "1", "band": "strict"},
+        )
+        out = tmp_path / "out"
+        assert main(["audit", "--manifest", str(tmp_path / "m.txt"), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        (band,) = report["bands"]
+        assert sorted(band["run_ids"]) == sorted(runs)
+        assert band["disputable"]["instance_ids"] == list(self.IDS)
+
+    def test_errors_name_the_physical_start_line(self, tmp_path):
+        head = 'run_id,instance_id,prediction\nr,"a\nb",1\nr,c,1\n'  # rows on lines 2-3 and 4
+        after = write(tmp_path / "after.csv", head + "r,d,maybe\n")
+        with pytest.raises(ValidationError, match="'maybe'") as err:
+            load_fairness_predictions(after, {"0": 0, "1": 1})
+        assert err.value.line == 5
+        spanning = write(tmp_path / "spanning.csv", head + 'r,"d\r\ne",1,extra\n')
+        with pytest.raises(ValidationError, match="expected 3 fields, got 4") as err:
+            load_fairness_predictions(spanning, {"0": 0, "1": 1})
+        assert err.value.line == 5
+
+
+# ------------------------------------------------- bulk ingest vs row oracle
+
+SEPARATORS = ("", " ", ",", '"', "\n", "\r\n", "\u2028", "\x0c", "\x85")
+BLANK_ROWS = ("", " ", "\t", ",", " , , ")
+FAULTS = ("value", "fields", "empty", "duplicate", "missing", "outside")
+
+
+def _cell(data, text: str) -> str:
+    """`text` as one CSV cell, padded, and quoted when it must be or when drawn."""
+    pad = data.draw(st.sampled_from(("", " ", "\t")))
+    if data.draw(st.booleans()) or any(c in text for c in ',"\r\n'):
+        return '"' + pad + text.replace('"', '""') + pad + '"'
+    return pad + text + pad
+
+
+def _write_csv(data, path: Path, header, rows) -> Path:
+    eol = data.draw(st.sampled_from(("\n", "\r\n")))
+    lines = [",".join(header)]
+    for row in rows:
+        if data.draw(st.integers(0, 4)) == 0:
+            lines.append(data.draw(st.sampled_from(BLANK_ROWS)))
+        lines.append(",".join(_cell(data, text) for text in row))
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(eol.join(lines) + data.draw(st.sampled_from(("", eol))))
+    return path
+
+
+def _inject(data, rows: list[list[str]], fault: str, run_ids: list[str]) -> None:
+    if not rows:
+        return
+    k = data.draw(st.integers(0, len(rows) - 1))
+    at = data.draw(st.integers(0, len(rows)))
+    if fault == "value":
+        rows[k][-1] = "maybe"
+    elif fault == "fields":
+        rows[k] = rows[k][:-1] if data.draw(st.booleans()) else rows[k] + ["x"]
+    elif fault == "empty":
+        rows[k][data.draw(st.integers(0, len(rows[k]) - 1))] = data.draw(st.sampled_from(("", " ")))
+    elif fault == "duplicate":
+        rows.insert(at, list(rows[k]))
+    elif fault == "missing":
+        del rows[k]
+    else:
+        rows.insert(at, [data.draw(st.sampled_from(run_ids)), "ghost", "yes"])
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except ValidationError as exc:
+        return "error", str(exc), exc.line
+
+
+@pytest.mark.parametrize(
+    "body, line",
+    [
+        ("r1,a,1\nr1,b,1\nr2,a,1\nr2,c,1\n", 5),  # r2 predicts c outside, before missing b
+        ("r1,a,1\nr2,a,1\nr3,c,1\nr2,c,1\nr1,b,1\n", 4),  # c is named at its first line, in r3
+        ("r1,a,1\nr1,b,1\nr2,a,1\nr2,b,1\nr3,b,1\n", None),  # r3 misses a
+        ("r1,a,maybe\nr1,b,1,x\n", 3),  # field errors anywhere come first
+        ("r1,a,1\nr1,a,0\nr1,b,maybe\n", 3),  # then values and duplicates in row order
+    ],
+)
+def test_fairness_fault_precedence_matches_row_oracle(tmp_path, body, line):
+    path = write(tmp_path / "fair.csv", "run_id,instance_id,prediction\n" + body)
+    value_map = {"0": 0, "1": 1}
+    got = _outcome(load_fairness_predictions, path, value_map)
+    assert got == _outcome(oracle_load_fairness_predictions, path, value_map)
+    assert got[0] == "error" and got[2] == line
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("r1,ghost,1\nr1,a,1\n", "r1' predicts unknown instance 'ghost'"),  # before r1 misses b
+        ("r1,a,1\nr2,ghost,1\nr2,a,1\nr2,b,1\n", "r1' misses 1 instances"),  # runs in order
+    ],
+)
+def test_validation_fault_precedence_matches_row_oracle(tmp_path, body, message):
+    labels, value_map = read_labels(write(tmp_path / "labels.csv", "instance_id,label\na,1\nb,0\n"), "1")
+    path = write(tmp_path / "preds.csv", "run_id,instance_id,prediction\n" + body)
+    got = _outcome(load_predictions, path, labels, value_map)
+    assert got == _outcome(oracle_load_predictions, path, labels, value_map)
+    assert got[0] == "error" and message in got[1]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_bulk_ingest_matches_row_oracle(data):
+    """Equal runs and vectors, or the same message and line, on every file."""
+    n_instances = data.draw(st.integers(1, 5))
+    ids = [f"i{data.draw(st.sampled_from(SEPARATORS))}{k}" for k in range(n_instances)]
+    run_ids = [f"r{data.draw(st.sampled_from(SEPARATORS))}{k}" for k in range(data.draw(st.integers(1, 3)))]
+    label_rows = [[i, data.draw(st.sampled_from(("yes", "no")))] for i in ids]
+    label_rows[-1][1] = "no" if label_rows[0][1] == "yes" else "yes"
+    group_rows = [[i, data.draw(st.sampled_from(("north", "south")))] for i in ids]
+    for rows in (label_rows, group_rows):
+        if data.draw(st.integers(0, 5)) == 0:
+            rows.insert(data.draw(st.integers(0, len(rows))), list(data.draw(st.sampled_from(rows))))
+    rows = [[r, i, data.draw(st.sampled_from(("yes", "no")))] for r in run_ids for i in ids]
+    if data.draw(st.booleans()):
+        rows = [list(row) for row in data.draw(st.permutations(rows))]
+    for _ in range(data.draw(st.sampled_from((0, 1, 1, 1, 2, 3)))):
+        _inject(data, rows, data.draw(st.sampled_from(FAULTS)), run_ids)
+    chunk_rows = data.draw(st.sampled_from((1, 2, 3, 4096)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+        tmp = Path(tmp)
+        labels = _write_csv(data, tmp / "labels.csv", LABEL_HEADER, label_rows)
+        groups = _write_csv(data, tmp / "groups.csv", GROUP_HEADER, group_rows)
+        preds = _write_csv(data, tmp / "preds.csv", PREDICTION_HEADER, rows)
+        assert _outcome(read_group_map, groups) == _outcome(oracle_read_group_map, groups)
+        loaded = _outcome(read_labels, labels, "yes")
+        assert loaded == _outcome(oracle_read_labels, labels, "yes")
+        value_map = {"no": 0, "yes": 1}
+        assert _outcome(load_fairness_predictions, preds, value_map) == _outcome(
+            oracle_load_fairness_predictions, preds, value_map
+        )
+        if loaded[0] == "ok":
+            label_vector, value_map = loaded[1]
+            assert _outcome(load_predictions, preds, label_vector, value_map) == _outcome(
+                oracle_load_predictions, preds, label_vector, value_map
+            )
