@@ -7,7 +7,7 @@ disputed within a band, quantifies the disagreement exactly, and builds the
 fair ensemble that resolves every dispute in the individual's favour.
 """
 
-from .banding import Banding, BandingPolicy, PerformanceBand, band_counts, partition, refine_lexicographic
+from .banding import Banding, BandingPolicy, PerformanceBand, partition, refine_lexicographic
 from .core import (
     ConfusionMatrix,
     ExactRatio,
@@ -82,7 +82,6 @@ __all__ = [
     "ambiguity",
     "ambiguity_by_group",
     "audit",
-    "band_counts",
     "compare_policies",
     "confusion_matrix",
     "discrepancy",

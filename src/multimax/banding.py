@@ -323,11 +323,3 @@ def refine_lexicographic(
     if returned != sorted(band.run_ids):
         raise InvariantViolation("refinement lost or duplicated band members")
     return tuple(sub_bands)
-
-
-def band_counts(
-    runs: Iterable[ModelRun], policies: Sequence[BandingPolicy]
-) -> tuple[tuple[BandingPolicy, int], ...]:
-    """How many bands each candidate policy yields for the same run collection."""
-    run_list = list(runs)
-    return tuple((policy, len(partition(run_list, policy).bands)) for policy in policies)

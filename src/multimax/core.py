@@ -270,13 +270,10 @@ class ModelRun:
     preds_validation: PredictionVector
     preds_fairness: PredictionVector
     utility: ExactRatio
-    complexity: float | None = None
 
     def __post_init__(self) -> None:
         if not self.run_id:
             raise ValueError("run_id must be non-empty")
-        if self.complexity is not None and self.complexity < 0:
-            raise ValueError("complexity must be non-negative when given")
 
     @classmethod
     def from_predictions(
@@ -286,7 +283,6 @@ class ModelRun:
         preds_validation: PredictionVector,
         labels: LabelVector,
         preds_fairness: PredictionVector | None = None,
-        complexity: float | None = None,
     ) -> "ModelRun":
         utility = metric(confusion_matrix(preds_validation, labels), "accuracy")
         return cls(
@@ -295,7 +291,6 @@ class ModelRun:
             preds_validation=preds_validation,
             preds_fairness=preds_fairness if preds_fairness is not None else preds_validation,
             utility=utility,
-            complexity=complexity,
         )
 
 

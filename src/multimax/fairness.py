@@ -130,30 +130,31 @@ def is_individually_fair(run_id: str, band: PerformanceBand, runs: RunSource) ->
     if run_id not in band.run_ids:
         raise AnalysisError(f"run {run_id!r} is not a member of band {band.label!r}")
     member_ids, matrix, index = member_matrix(band, runs, which="fairness")
-    row = matrix[member_ids.index(run_id)]
-    differs = matrix != row
-    for pos in range(index.size):
-        col = differs[:, pos]
-        if col.any():
-            other = member_ids[int(np.argmax(col))]
-            return FairnessVerdict(
-                run_id=run_id,
-                band_label=band.label,
-                fair=False,
-                witness_run=other,
-                witness_instance=index.ids[pos],
-            )
-    return FairnessVerdict(run_id=run_id, band_label=band.label, fair=True)
+    differs = matrix != matrix[member_ids.index(run_id)]
+    disputed = differs.any(axis=0)
+    if not disputed.any():
+        return FairnessVerdict(run_id=run_id, band_label=band.label, fair=True)
+    pos = int(np.argmax(disputed))
+    return FairnessVerdict(
+        run_id=run_id,
+        band_label=band.label,
+        fair=False,
+        witness_run=member_ids[int(np.argmax(differs[:, pos]))],
+        witness_instance=index.ids[pos],
+    )
 
 
 @dataclass(frozen=True)
 class DiscrepancyStats:
-    """Pairwise disagreement rates between (up to cap) runs of one band.
+    """Pairwise disagreement between (up to cap) runs of one band, as a histogram.
 
-    run_ids are the retained members, sorted; pair_fractions follow the
-    lexicographic pair order over them.  When the band exceeds the cap, the
-    retained members are the ones with the smallest sha256("{seed}:{run_id}")
-    digests, so the draw is reproducible from the recorded seed alone.
+    Every pair's disagreement fraction has the same denominator,
+    instance_count, so the distribution is pair_counts: each disagreement
+    count k that occurs -> the number of pairs that disagree on exactly k
+    instances, in ascending k.  run_ids are the retained members, sorted.
+    When the band exceeds the cap, the retained members are the ones with the
+    smallest sha256("{seed}:{run_id}") digests, so the draw is reproducible
+    from the recorded seed alone.
     """
 
     band_label: str
@@ -161,7 +162,8 @@ class DiscrepancyStats:
     cap: int
     seed: int
     run_ids: tuple[str, ...]
-    pair_fractions: tuple[ExactRatio, ...]
+    instance_count: int
+    pair_counts: dict[int, int]
     single_run: bool
 
     @property
@@ -170,22 +172,26 @@ class DiscrepancyStats:
 
     @property
     def pair_count(self) -> int:
-        return len(self.pair_fractions)
+        return sum(self.pair_counts.values())
 
     @property
     def min_fraction(self) -> ExactRatio | None:
-        return min(self.pair_fractions) if self.pair_fractions else None
+        return ExactRatio(min(self.pair_counts), self.instance_count) if self.pair_counts else None
 
     @property
     def max_fraction(self) -> ExactRatio | None:
-        return max(self.pair_fractions) if self.pair_fractions else None
+        return ExactRatio(max(self.pair_counts), self.instance_count) if self.pair_counts else None
 
     @property
     def mean_fraction(self) -> Fraction | None:
-        if not self.pair_fractions:
+        if not self.pair_counts:
             return None
-        total = sum((f.as_fraction() for f in self.pair_fractions), Fraction(0))
-        return total / len(self.pair_fractions)
+        disagreements = sum(k * c for k, c in self.pair_counts.items())
+        return Fraction(disagreements, self.pair_count * self.instance_count)
+
+    def fraction_counts(self) -> dict[str, int]:
+        """Pairs per disagreement fraction, keyed "k/n" with n the instance count (unreduced)."""
+        return {f"{k}/{self.instance_count}": c for k, c in self.pair_counts.items()}
 
 
 def _hash_rank(seed: int, item: str) -> tuple[str, str]:
@@ -195,29 +201,25 @@ def _hash_rank(seed: int, item: str) -> tuple[str, str]:
 def discrepancy(
     band: PerformanceBand, runs: RunSource, cap: int = 500, seed: int = 0
 ) -> DiscrepancyStats:
-    """Disagreement fraction for every pair among up to cap retained runs."""
+    """Disagreement counts over every pair among up to cap retained runs."""
     if cap < 2:
         raise AnalysisError(f"discrepancy cap must be at least 2, got {cap}")
     member_ids, matrix, index = member_matrix(band, runs, which="fairness")
+    kept = set(member_ids)
     if len(member_ids) > cap:
-        retained = sorted(sorted(member_ids, key=lambda rid: _hash_rank(seed, rid))[:cap])
-    else:
-        retained = list(member_ids)
-    rows = {rid: matrix[member_ids.index(rid)] for rid in retained}
-    fractions = []
-    for i, first in enumerate(retained):
-        if i + 1 == len(retained):
-            break
-        rest = np.vstack([rows[other] for other in retained[i + 1 :]])
-        counts = (rest != rows[first]).sum(axis=1)
-        fractions.extend(ExactRatio(int(c), index.size) for c in counts)
+        kept = set(sorted(member_ids, key=lambda rid: _hash_rank(seed, rid))[:cap])
+    rows = [pos for pos, run_id in enumerate(member_ids) if run_id in kept]
+    x = matrix[rows]
+    per_pair = np.concatenate([(x[i + 1 :] != x[i]).sum(axis=1) for i in range(len(rows))])
+    histogram = np.bincount(per_pair).tolist()
     return DiscrepancyStats(
         band_label=band.label,
         total_runs=len(member_ids),
         cap=cap,
         seed=seed,
-        run_ids=tuple(retained),
-        pair_fractions=tuple(fractions),
+        run_ids=tuple(member_ids[pos] for pos in rows),
+        instance_count=index.size,
+        pair_counts={k: c for k, c in enumerate(histogram) if c},
         single_run=len(member_ids) == 1,
     )
 
@@ -259,15 +261,14 @@ def fair_ensemble(band: PerformanceBand, runs: RunSource, labels: LabelVector) -
     recall can only rise and its specificity can only fall relative to each
     member; that is enforced as a postcondition, not assumed.
     """
-    member_ids, matrix, index = member_matrix(band, runs, which="validation")
-    if labels.index != index:
+    preds = ensemble_predictions(band, runs, which="validation")
+    if labels.index != preds.index:
         raise AlignmentError("labels do not use the band's validation index")
-    preds = PredictionVector(index=index, values=tuple(int(v) for v in matrix.max(axis=0)))
     star = confusion_matrix(preds, labels)
     star_metrics = {kind: metric(star, kind) for kind in ("accuracy", "recall", "specificity")}
     lookup = runs if isinstance(runs, Mapping) else runs_by_id(runs)
     deltas: dict[str, MetricDeltas] = {}
-    for run_id in member_ids:
+    for run_id in band.run_ids:
         cm = confusion_matrix(lookup[run_id].preds_validation, labels)
         delta = MetricDeltas(
             accuracy=star_metrics["accuracy"].as_fraction() - metric(cm, "accuracy").as_fraction(),

@@ -59,6 +59,32 @@ def _csv_reader(path: Path) -> Iterator[list[str]]:
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
 
+def _not_utf8(path: Path) -> ValidationError:
+    """The error for a file that does not decode as UTF-8, naming the first bad byte's line."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValidationError(
+            f"not UTF-8 text: byte {data[exc.start]:#04x} at offset {exc.start}",
+            path=str(path),
+            line=line,
+        )
+    raise InvariantViolation(f"{path}: a UTF-8 decode failed but the file decodes")
+
+
+def _next_rows(path: Path, reader: Iterator[list[str]], count: int) -> list[list[str]]:
+    """Up to `count` more rows; undecodable bytes and csv faults become ValidationError."""
+    try:
+        return list(islice(reader, count))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    except csv.Error as exc:
+        raise ValidationError(f"cannot parse CSV: {exc}", path=str(path), line=reader.line_num) from None
+
+
 def _stripped_columns(rows: list[list[str]], width: int) -> list[list[str]] | None:
     """The rows' stripped columns, or None unless every row has `width` non-empty cells."""
     if not set(map(len, rows)) <= {width}:
@@ -78,17 +104,17 @@ def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
     """
     columns: list[list[str]] = [[] for _ in header]
     reader = _csv_reader(path)
-    first = next(reader, None)
-    if first is None:
+    first = _next_rows(path, reader, 1)
+    if not first:
         raise ValidationError("file is empty", path=str(path))
-    got = [cell.strip() for cell in first]
+    got = [cell.strip() for cell in first[0]]
     if got != header:
         raise ValidationError(
             f"expected header {','.join(header)!r}, got {','.join(got)!r}",
             path=str(path),
             line=1,
         )
-    for chunk in iter(lambda: list(islice(reader, _CHUNK_ROWS)), []):
+    for chunk in iter(lambda: _next_rows(path, reader, _CHUNK_ROWS), []):
         parts = _stripped_columns(chunk, len(header))
         if parts is None:  # blank rows, or a faulty row
             kept = [row for row in chunk if any(map(str.strip, row))]
@@ -335,7 +361,6 @@ def attach_fairness(
             preds_validation=run.preds_validation,
             preds_fairness=fairness[run.run_id],
             utility=run.utility,
-            complexity=run.complexity,
         )
         for run in runs
     )
@@ -398,6 +423,8 @@ def load_manifest(path: Path) -> AuditManifest:
         lines = path.read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc}", path=str(path)) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     values: dict[str, str] = {}
     value_lines: dict[str, int] = {}
     provenance: dict[str, str] = {}
@@ -462,8 +489,16 @@ def load_manifest(path: Path) -> AuditManifest:
     )
 
 
+def _check_written_ids(kind: str, ids: Iterable[str]) -> None:
+    """Reject ids that the readers, which strip every cell, would read back changed."""
+    for item in ids:
+        if item != item.strip():
+            raise ValidationError(f"{kind} id {item!r} has surrounding whitespace")
+
+
 def write_labels_csv(path: Path, labels: LabelVector) -> None:
     """Write labels with the canonical 0/1 vocabulary."""
+    _check_written_ids("instance", labels.index.ids)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(LABEL_HEADER)
@@ -475,13 +510,19 @@ def write_predictions_csv(path: Path, runs: Iterable[ModelRun], which: str = "va
     """Write runs in long form, grouped by run in the given order."""
     if which not in ("validation", "fairness"):
         raise ValueError(f"unknown prediction set {which!r}")
+    vectors = [
+        (run.run_id, run.preds_validation if which == "validation" else run.preds_fairness)
+        for run in runs
+    ]
+    _check_written_ids("run", (run_id for run_id, _ in vectors))
+    for index in {vector.index for _, vector in vectors}:
+        _check_written_ids("instance", index.ids)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PREDICTION_HEADER)
-        for run in runs:
-            vector = run.preds_validation if which == "validation" else run.preds_fairness
+        for run_id, vector in vectors:
             for instance_id, value in zip(vector.index.ids, vector.values):
-                writer.writerow([run.run_id, instance_id, str(value)])
+                writer.writerow([run_id, instance_id, str(value)])
 
 
 def write_manifest(path: Path, entries: Mapping[str, str]) -> None:

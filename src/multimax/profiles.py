@@ -16,18 +16,24 @@ holding the plotted numbers, because pixels are not an API.
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .banding import PerformanceBand
-from .core import ExactRatio, decimal_display
+from .core import ExactRatio
 from .errors import AlignmentError, AnalysisError
-from .fairness import DiscrepancyStats, RunSource, member_matrix, prediction_vector_groups
+from .fairness import (
+    DiscrepancyStats,
+    RunSource,
+    _hash_rank,
+    member_matrix,
+    prediction_vector_groups,
+)
 
 _HEX_COLOR = re.compile(r"#[0-9a-f]{6}", re.IGNORECASE)
 
@@ -185,10 +191,6 @@ class RenderedSvg:
 
     svg: str
     sidecar: dict
-
-
-def _hash_rank(seed: int, item: str) -> tuple[str, str]:
-    return (hashlib.sha256(f"{seed}:{item}".encode()).hexdigest(), item)
 
 
 def stability_profile(
@@ -519,17 +521,22 @@ def multiplicity_panel(
     doc.text(margin_left - 10, disc_top + style.font_px, "discrepancy", style.font_px, anchor="end")
     doc.line(margin_left, disc_top + panel_h, width - 30, disc_top + panel_h)
     doc.line(margin_left, disc_top, margin_left, disc_top + panel_h)
-    pooled: dict[str, list[ExactRatio]] = {label: [] for label in band_order}
-    single_only: dict[str, bool] = {label: True for label in band_order}
-    seen_in_fold: dict[str, bool] = {label: False for label in band_order}
+    pooled: dict[str, list[DiscrepancyStats]] = {}
+    pooled_counts: dict[str, Counter] = {}
     for fold in folds:
         for label, stats in fold.discrepancy.items():
-            seen_in_fold[label] = True
-            pooled[label].extend(stats.pair_fractions)
-            if not stats.single_run:
-                single_only[label] = False
-    disc_values = [float(f.as_fraction()) for fracs in pooled.values() for f in fracs]
-    disc_max = max(disc_values + [0.0]) or 1.0
+            pooled.setdefault(label, []).append(stats)
+            pooled_counts.setdefault(label, Counter()).update(stats.fraction_counts())
+    pooled_values = {
+        label: np.concatenate(
+            [
+                np.repeat([k / s.instance_count for k in s.pair_counts], list(s.pair_counts.values()))
+                for s in group
+            ]
+        )
+        for label, group in pooled.items()
+    }
+    disc_max = max([float(v.max()) for v in pooled_values.values() if v.size] + [0.0]) or 1.0
     for tick in (0.0, 0.5, 1.0):
         ty = disc_top + panel_h - tick * (panel_h - 14)
         doc.text(margin_left - 6, ty + 3, f"{tick * disc_max * 100:.1f}%", style.font_px - 2, anchor="end")
@@ -537,18 +544,17 @@ def multiplicity_panel(
     markers: dict[str, str] = {}
     for i, label in enumerate(band_order):
         x = band_x(i)
-        fracs = pooled[label]
-        if not seen_in_fold[label]:
+        if label not in pooled:
             continue
-        if not fracs and single_only[label]:
+        values = pooled_values[label]
+        if not values.size and all(s.single_run for s in pooled[label]):
             markers[label] = "single-run"
             arm = 5.0
             yy = disc_top + panel_h
             doc.polyline([(x - arm, yy - arm), (x + arm, yy + arm)], "#444444")
             doc.polyline([(x - arm, yy + arm), (x + arm, yy - arm)], "#444444")
             continue
-        values = [float(f.as_fraction()) for f in fracs]
-        if all(v == 0.0 for v in values):
+        if not values.any():
             markers[label] = "all-zero"
             doc.line(x - 8, disc_top + panel_h, x + 8, disc_top + panel_h, stroke="#444444")
             continue
@@ -603,16 +609,7 @@ def multiplicity_panel(
             for fold in folds
         ],
         "pooled_fraction_counts": {
-            label: _fraction_counts(pooled[label]) for label in band_order if seen_in_fold[label]
+            label: dict(pooled_counts[label]) for label in band_order if label in pooled
         },
     }
     return RenderedSvg(svg=doc.render(width, height, style), sidecar=sidecar)
-
-
-def _fraction_counts(fractions: Sequence[ExactRatio]) -> dict[str, int]:
-    """Compact distribution of exact fractions: display string -> occurrences."""
-    out: dict[str, int] = {}
-    for fraction in sorted(fractions):
-        key = str(fraction)
-        out[key] = out.get(key, 0) + 1
-    return out

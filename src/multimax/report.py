@@ -168,10 +168,6 @@ def _analyse_band(
 
 
 def _discrepancy_payload(stats: DiscrepancyStats) -> dict:
-    counts: dict[str, int] = {}
-    for fraction in sorted(stats.pair_fractions):
-        key = str(fraction)
-        counts[key] = counts.get(key, 0) + 1
     mean = stats.mean_fraction
     return {
         "total_runs": stats.total_runs,
@@ -181,7 +177,7 @@ def _discrepancy_payload(stats: DiscrepancyStats) -> dict:
         "single_run": stats.single_run,
         "pair_count": stats.pair_count,
         "retained_run_ids": list(stats.run_ids),
-        "fraction_counts": counts,
+        "fraction_counts": stats.fraction_counts(),
         "min": ratio_payload(stats.min_fraction) if stats.min_fraction is not None else None,
         "max": ratio_payload(stats.max_fraction) if stats.max_fraction is not None else None,
         "mean": signed_payload(mean) if mean is not None else None,

@@ -10,7 +10,6 @@ indistinguishable on a dense behaviour grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,22 +129,6 @@ def _candidates(spec: FamilySpec, train: Dataset2D) -> list[tuple[object, str]]:
     return out
 
 
-def _complexity(spec: FamilySpec, classifier: object) -> float:
-    if spec.kind == "linear":
-        assert isinstance(classifier, HalfplaneClassifier)
-        weights = (math.cos(classifier.angle), math.sin(classifier.angle), classifier.offset)
-        return float(sum(1 for w in weights if abs(w) > 1e-12))
-    if spec.kind == "polynomial":
-        assert isinstance(classifier, PolynomialBoundaryClassifier)
-        assert classifier.coefficients is not None
-        return float(sum(1 for c in classifier.coefficients if abs(c) > 1e-12))
-    if spec.kind == "knn":
-        assert isinstance(classifier, NearestNeighborsClassifier)
-        return float(classifier.k)
-    assert isinstance(classifier, AxisAlignedTreeClassifier)
-    return float(classifier.depth)
-
-
 def enumerate_family(
     spec: FamilySpec,
     train: Dataset2D,
@@ -190,7 +173,6 @@ def enumerate_family(
             preds_validation=preds_val,
             labels=validation.labels,
             preds_fairness=preds_fair,
-            complexity=_complexity(spec, classifier),
         )
         models.append(ZooModel(run=run, classifier=classifier, description=description))
     return tuple(models)

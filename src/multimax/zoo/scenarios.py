@@ -36,14 +36,6 @@ class Scenario:
     def runs(self) -> tuple[ModelRun, ...]:
         return tuple(model.run for model in self.models)
 
-    @property
-    def classifiers(self) -> dict[str, object]:
-        return {model.run.run_id: model.classifier for model in self.models}
-
-    @property
-    def fairness_points(self) -> PointSet:
-        return self.fairness if self.fairness is not None else self.validation.points
-
 
 def separable_linear(seed: int = 0) -> Scenario:
     """Nine perfect vertical separators on margin-separated data.

@@ -133,7 +133,7 @@ def test_c05_discrepancy_ambiguity_and_fairness_relations():
         labels, runs, band = random_band_case(rng, identical=case % 5 == 0)
         amb = ambiguity(band, runs).as_fraction()
         stats = discrepancy(band, runs)
-        assert max(f.as_fraction() for f in stats.pair_fractions) <= amb
+        assert stats.max_fraction.as_fraction() <= amb
         all_fair = all(is_individually_fair(rid, band, runs).fair for rid in band.run_ids)
         one_vector = len(unique_vector_counts(band, runs)) == 1
         assert (amb == 0) == all_fair == one_vector

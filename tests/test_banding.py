@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import make_index, run_from_bits
-from multimax.banding import Banding, BandingPolicy, PerformanceBand, band_counts, partition, refine_lexicographic
+from multimax.banding import Banding, BandingPolicy, PerformanceBand, partition, refine_lexicographic
 from multimax.core import ExactRatio, LabelVector
 from multimax.errors import AlignmentError, AnalysisError, UndefinedMetricError
 
@@ -263,14 +263,6 @@ class TestRefinement:
         band, runs, labels = self._mixed_band()
         with pytest.raises(AnalysisError, match="hs"):
             refine_lexicographic(band, runs[:1], labels, ("recall",))
-
-
-@given(st.lists(st.integers(0, 300), min_size=1, max_size=6, unique=True))
-def test_band_counts_agree_with_partition(numerators):
-    runs, _ = runs_with_accuracies(sorted(numerators), 300)
-    policies = [BandingPolicy(mode="strict"), BandingPolicy.parse("round:2")]
-    for policy, count in band_counts(runs, policies):
-        assert count == len(partition(runs, policy))
 
 
 def test_banding_is_iterable_container():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -80,11 +82,11 @@ class TestHandExample:
         _, runs, band = self._fixture()
         stats = discrepancy(band, runs)
         assert stats.run_ids == ("a", "b", "c")
-        assert stats.pair_fractions == (
-            ExactRatio(1, 4),  # a vs b
-            ExactRatio(1, 4),  # a vs c
-            ExactRatio(2, 4),  # b vs c
-        )
+        assert stats.instance_count == 4
+        # a vs b and a vs c disagree on one instance, b vs c on two
+        assert stats.pair_counts == {1: 2, 2: 1}
+        assert stats.fraction_counts() == {"1/4": 2, "2/4": 1}
+        assert stats.pair_count == 3
         assert stats.min_fraction == ExactRatio(1, 4)
         assert stats.max_fraction == ExactRatio(2, 4)
         assert stats.mean_fraction == Fraction(1, 3)
@@ -139,12 +141,18 @@ class TestOracles:
             assert fav + unf == len(runs)
             assert fav >= 1 and unf >= 1
 
-    @given(band_fixture())
-    def test_discrepancy_matches_combinations_oracle(self, fixture):
+    @given(band_fixture(), st.integers(2, 9), st.integers(0, 3))
+    def test_discrepancy_matches_combinations_oracle(self, fixture, cap, seed):
         _, runs, band = fixture
-        stats = discrepancy(band, runs, cap=500)
-        expected = oracle_pair_fractions(vectors_of(runs))
-        assert [f.as_fraction() for f in stats.pair_fractions] == expected
+        stats = discrepancy(band, runs, cap=cap, seed=seed)
+        ranked = sorted(band.run_ids, key=lambda r: hashlib.sha256(f"{seed}:{r}".encode()).hexdigest())
+        assert stats.run_ids == tuple(sorted(ranked[:cap]))
+        vectors = vectors_of(runs)
+        expected = oracle_pair_fractions({run_id: vectors[run_id] for run_id in stats.run_ids})
+        n = stats.instance_count
+        assert list(stats.pair_counts) == sorted(stats.pair_counts)
+        assert {Fraction(k, n): c for k, c in stats.pair_counts.items()} == Counter(expected)
+        assert stats.mean_fraction == sum(expected) / len(expected)
 
     @given(band_fixture())
     def test_max_pair_discrepancy_bounded_by_ambiguity(self, fixture):
@@ -244,7 +252,9 @@ class TestDiscrepancySampling:
         band = whole_band(runs)
         stats = discrepancy(band, runs)
         assert stats.single_run
-        assert stats.pair_fractions == ()
+        assert stats.pair_counts == {}
+        assert stats.pair_count == 0
+        assert stats.fraction_counts() == {}
         assert stats.min_fraction is None
         assert stats.max_fraction is None
         assert stats.mean_fraction is None

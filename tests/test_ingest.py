@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import tempfile
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -22,7 +23,7 @@ from helpers import (
 from multimax import ingest
 from multimax.banding import BandingPolicy
 from multimax.cli import main
-from multimax.core import ExactRatio, InstanceIndex, LabelVector, PredictionVector
+from multimax.core import ExactRatio, InstanceIndex, LabelVector, ModelRun, PredictionVector
 from multimax.errors import ValidationError
 from multimax.ingest import (
     GROUP_HEADER,
@@ -39,6 +40,7 @@ from multimax.ingest import (
     write_manifest,
     write_predictions_csv,
 )
+from test_report import write_fixture_inputs
 
 
 def write(path, text):
@@ -400,6 +402,29 @@ class TestPredictionWriter:
         with pytest.raises(ValueError):
             write_predictions_csv(tmp_path / "x.csv", runs, which="train")
 
+    def test_ids_round_trip_or_are_refused(self, tmp_path):
+        # The readers strip every cell, so only an id without surrounding
+        # whitespace comes back unchanged; the writers refuse the others.
+        idx = InstanceIndex(("a b", "c"))
+        labels = LabelVector(idx, (1, 0))
+        run = ModelRun.from_predictions("run 1", "t", PredictionVector(idx, (1, 1)), labels)
+        write_labels_csv(tmp_path / "labels.csv", labels)
+        write_predictions_csv(tmp_path / "preds.csv", [run])
+        loaded_labels, value_map = read_labels(tmp_path / "labels.csv", "1")
+        (loaded,) = load_predictions(tmp_path / "preds.csv", loaded_labels, value_map)
+        assert loaded_labels.index == idx
+        assert loaded.run_id == "run 1"
+
+        padded = LabelVector(InstanceIndex((" a", "b ")), (1, 0))
+        with pytest.raises(ValidationError, match="instance id ' a' has surrounding whitespace"):
+            write_labels_csv(tmp_path / "padded_labels.csv", padded)
+        padded_run = ModelRun.from_predictions("r", "t", PredictionVector(padded.index, (1, 1)), padded)
+        with pytest.raises(ValidationError, match="instance id ' a'"):
+            write_predictions_csv(tmp_path / "padded_preds.csv", [padded_run])
+        with pytest.raises(ValidationError, match="run id 'run 1 '"):
+            write_predictions_csv(tmp_path / "padded_run.csv", [replace(run, run_id="run 1 ")])
+        assert not list(tmp_path.glob("padded*"))
+
 
 def write_rows(path, header, rows):
     """Write a CSV file with every field quoted."""
@@ -443,6 +468,35 @@ class TestQuotedFields:
         with pytest.raises(ValidationError, match="expected 3 fields, got 4") as err:
             load_fairness_predictions(spanning, {"0": 0, "1": 1})
         assert err.value.line == 5
+
+
+class TestUnreadableFiles:
+    """Bytes that cannot be read as rows end `multimax audit` with exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("name", ["labels.csv", "predictions.csv", "manifest.txt"])
+    def test_non_utf8_byte_names_the_file_and_line(self, tmp_path, capsys, name):
+        manifest = write_fixture_inputs(tmp_path)
+        path = tmp_path / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"\n".join(lines))
+        assert main(["audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        assert f"{name}:3: not UTF-8 text: byte 0xff" in capsys.readouterr().err
+
+    def test_line_of_a_bad_byte_counts_every_line_ending(self, tmp_path):
+        path = write(tmp_path / "labels.csv", "")
+        path.write_bytes(b'instance_id,label\r\na,1\rb,0\n"c\r\nd",\xe9\n')
+        with pytest.raises(ValidationError, match="byte 0xe9") as err:
+            read_labels(path, "1")
+        assert err.value.line == 5
+
+    def test_oversized_field_names_the_file_and_line(self, tmp_path, capsys):
+        manifest = write_fixture_inputs(tmp_path)
+        with open(tmp_path / "labels.csv", "a", encoding="utf-8") as handle:
+            handle.write("x" * 200_000 + ",1\n")
+        assert main(["audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "labels.csv:8: cannot parse CSV: field larger than field limit" in err
 
 
 # ------------------------------------------------- bulk ingest vs row oracle

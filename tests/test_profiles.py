@@ -7,7 +7,7 @@ from xml.dom import minidom
 
 import pytest
 
-from helpers import make_index, pyramid_runs, run_from_bits, two_band_runs
+from helpers import make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
 from multimax.banding import BandingPolicy, partition
 from multimax.core import ExactRatio, LabelVector
 from multimax.errors import AnalysisError
@@ -271,6 +271,27 @@ class TestMultiplicityPanel:
         assert pooled["2/3"] == {"2/6": 1}
         assert pooled["1/6"] == {"0/6": 1}
         assert pooled["1/2"] == {}
+
+    def test_violin_widths_follow_pair_counts(self):
+        idx = make_index(4)
+        labels = LabelVector(idx, (1, 1, 0, 0))
+        bits = {"a": (0, 0, 0, 0), "b": (0, 0, 0, 0), "c": (1, 0, 0, 0), "d": (1, 1, 0, 0)}
+        runs = [run_from_bits(run_id, labels, row) for run_id, row in bits.items()]
+        band = whole_band(runs)
+        stats = discrepancy(band, runs)
+        assert stats.pair_counts == {0: 1, 1: 3, 2: 2}
+        fold = FoldPanelData(
+            fold_id="all",
+            ambiguity={band.label: ambiguity(band, runs)},
+            discrepancy={band.label: stats},
+            run_counts={band.label: band.run_count},
+        )
+        rendered = multiplicity_panel([fold], [band.label])
+        assert rendered.sidecar["markers"] == {band.label: "violin"}
+        rects = re.findall(r'<rect [^>]*width="([\d.]+)" height="[\d.]+" fill="([^"]+)"', rendered.svg)
+        # violin bins bottom-up (0, 1/4, 2/4), then the run-count bar
+        widths = [float(w) for w, fill in rects if fill == DEFAULT_STYLE.band_colour(0)][:-1]
+        assert [w / max(widths) for w in widths] == pytest.approx([1 / 3, 1, 2 / 3], abs=0.01)
 
     def test_fold_sidecar_numbers(self):
         fold, labels = self._panel()

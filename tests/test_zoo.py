@@ -366,7 +366,6 @@ class TestFamilies:
         models = enumerate_family(family, data, data)
         assert [m.run.run_id for m in models] == ["linear-000", "linear-001"]
         assert all(m.run.family_tag == "linear" for m in models)
-        assert all(m.run.complexity == 2.0 for m in models)
         assert all(m.run.utility == ExactRatio(4, 4) for m in models)
 
     def test_dedupe_keeps_first_and_preserves_ids(self):
@@ -386,7 +385,6 @@ class TestFamilies:
         family = FamilySpec(kind="knn", k=1, perturbation="loo")
         models = enumerate_family(family, data, data, dedupe=False)
         assert len(models) == 5  # base + one per dropped point
-        assert models[0].run.complexity == 1.0
 
     def test_loo_needs_enough_points(self):
         data = tiny_dataset([(-1.0, 0.0), (1.0, 0.0)], [0, 1])
@@ -401,7 +399,6 @@ class TestFamilies:
         family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5), n_seeds=1)
         models = enumerate_family(family, data, data, dedupe=False)
         assert len(models) == 3  # two stumps plus one seeded fit
-        assert models[0].run.complexity == 1.0
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
