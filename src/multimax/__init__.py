@@ -44,7 +44,6 @@ from .fairness import (
 from .ingest import AuditManifest, load_manifest, load_predictions, read_labels
 from .profiles import (
     FoldPanelData,
-    ProfileStyle,
     RenderedSvg,
     fairness_profile,
     multiplicity_panel,
@@ -75,7 +74,6 @@ __all__ = [
     "MultimaxError",
     "PerformanceBand",
     "PredictionVector",
-    "ProfileStyle",
     "RenderedSvg",
     "UndefinedMetricError",
     "ValidationError",

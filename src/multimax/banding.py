@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     METRIC_KINDS,
@@ -209,17 +209,10 @@ def _rounded_bands(runs: Sequence[ModelRun], digits: int) -> list[PerformanceBan
     return bands
 
 
-def _tolerance_bands(
-    runs: Sequence[ModelRun], delta: Fraction, anchors: Sequence[ExactRatio] | None
-) -> list[PerformanceBand]:
-    if anchors is None:
-        anchor_values = sorted({run.utility.as_fraction() for run in runs}, reverse=True)
-    else:
-        anchor_values = []
-        for anchor in anchors:
-            value = anchor.as_fraction()
-            if value not in anchor_values:
-                anchor_values.append(value)
+def _tolerance_bands(runs: Sequence[ModelRun], delta: Fraction) -> list[PerformanceBand]:
+    # one band per distinct utility, except that anchors whose intervals clip
+    # to the same [lo, hi] at 0 or 1 share one band
+    anchor_values = sorted({run.utility.as_fraction() for run in runs}, reverse=True)
     bands = []
     seen_intervals: set[tuple[Fraction, Fraction]] = set()
     for anchor in anchor_values:
@@ -229,8 +222,6 @@ def _tolerance_bands(
             continue
         seen_intervals.add((lo, hi))
         members = [run.run_id for run in runs if lo <= run.utility.as_fraction() <= hi]
-        if not members:
-            continue
         bands.append(
             PerformanceBand(
                 label=f"[{lo}, {hi}]",
@@ -245,23 +236,16 @@ def _tolerance_bands(
     return bands
 
 
-def partition(
-    runs: Iterable[ModelRun],
-    policy: BandingPolicy,
-    anchors: Sequence[ExactRatio] | None = None,
-) -> Banding:
+def partition(runs: Iterable[ModelRun], policy: BandingPolicy) -> Banding:
     """Group runs into performance bands under the given policy.
 
-    anchors applies to tolerance mode only and defaults to the distinct
-    utilities present in the collection.  Bands come back in descending
-    epsilon order; empty bands (an anchor nobody hits) are dropped.
+    Tolerance bands are anchored at the distinct utilities present in the
+    collection.  Bands come back in descending epsilon order.
     """
     run_list = sorted(runs_by_id(runs).values(), key=lambda r: r.run_id)
     if not run_list:
         raise AnalysisError("cannot band an empty run collection")
     common_validation_index(run_list)
-    if anchors is not None and policy.mode != "tolerance":
-        raise AnalysisError("anchors are only meaningful for tolerance banding")
     if policy.mode == "strict":
         bands = _strict_bands(run_list)
     elif policy.mode == "rounded":
@@ -269,7 +253,7 @@ def partition(
         bands = _rounded_bands(run_list, policy.digits)
     else:
         assert policy.delta is not None
-        bands = _tolerance_bands(run_list, policy.delta, anchors)
+        bands = _tolerance_bands(run_list, policy.delta)
     bands.sort(key=lambda b: b.epsilon.as_fraction(), reverse=True)
     memberships = [rid for band in bands for rid in band.run_ids]
     is_partition = len(memberships) == len(run_list) and len(set(memberships)) == len(run_list)
@@ -278,7 +262,7 @@ def partition(
 
 def refine_lexicographic(
     band: PerformanceBand,
-    runs: Iterable[ModelRun] | Mapping[str, ModelRun],
+    runs: Sequence[ModelRun],
     labels: LabelVector,
     order: Sequence[str],
 ) -> tuple[PerformanceBand, ...]:
@@ -296,7 +280,7 @@ def refine_lexicographic(
             raise AnalysisError(f"unknown refinement metric {kind!r}")
     if len(set(order)) != len(order):
         raise AnalysisError("refinement metrics must not repeat")
-    lookup = runs if isinstance(runs, Mapping) else runs_by_id(runs)
+    lookup = runs_by_id(runs)
     groups: dict[tuple[Fraction, ...], list[str]] = {}
     for run_id in band.run_ids:
         if run_id not in lookup:

@@ -10,11 +10,15 @@ so a recorded report can be reproduced without editing files.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from .banding import BandingPolicy
+from .core import PredictionVector
 from .errors import (
     AlignmentError,
     AnalysisError,
@@ -25,10 +29,13 @@ from .errors import (
 )
 from .fairness import ensemble_predictions
 from .ingest import (
+    PREDICTION_HEADER,
+    _check_written_ids,
     load_manifest,
     write_labels_csv,
     write_manifest,
     write_predictions_csv,
+    write_text_atomic,
 )
 from .report import audit, compare_policies, emit_json, ratio_payload, run_audit
 from .zoo import SCENARIOS, build_scenario
@@ -70,12 +77,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     render = outcome.renders[args.kind]
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(render.svg, encoding="utf-8")
+    write_text_atomic(out, render.svg)
     sidecar = out.parent / (out.stem + ".sidecar.json")
-    sidecar.write_text(emit_json(render.sidecar), encoding="utf-8")
+    write_text_atomic(sidecar, emit_json(render.sidecar))
     print(f"wrote {out}")
     print(f"wrote {sidecar}")
     return EXIT_OK
+
+
+def _ensemble_csv(preds: PredictionVector) -> str:
+    """The fair ensemble's predictions in long form, as a prediction file."""
+    _check_written_ids("instance", preds.index.ids)
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(PREDICTION_HEADER)
+    writer.writerows(zip(repeat("fair-ensemble"), preds.index.ids, preds.values.tolist()))
+    return text.getvalue()
 
 
 def _cmd_fair_model(args: argparse.Namespace) -> int:
@@ -88,9 +105,11 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
     else:
         known = ", ".join(a.band.label for a in outcome.analyses)
         raise ValidationError(f"no band labelled {wanted!r}; bands: {known}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ensemble = analysis.ensemble
+    fair_fairness = ensemble_predictions(analysis.band, outcome.runs, which="fairness")
+    files = {"fair_model_validation.csv": _ensemble_csv(ensemble.preds)}
+    if fair_fairness.index != ensemble.preds.index:
+        files["fair_model_fairness.csv"] = _ensemble_csv(fair_fairness)
     payload = {
         "kind": "fair_model",
         "band": analysis.band.label,
@@ -100,17 +119,11 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
         "specificity": ratio_payload(ensemble.specificity),
         "resolved_disputes": analysis.disputable.size,
     }
-    (out_dir / "fair_model.json").write_text(emit_json(payload), encoding="utf-8")
-    fair_fairness = ensemble_predictions(analysis.band, outcome.runs, which="fairness")
-    lines = ["run_id,instance_id,prediction"]
-    for instance_id, value in zip(ensemble.preds.index.ids, ensemble.preds.values):
-        lines.append(f"fair-ensemble,{instance_id},{value}")
-    (out_dir / "fair_model_validation.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    if fair_fairness.index != ensemble.preds.index:
-        lines = ["run_id,instance_id,prediction"]
-        for instance_id, value in zip(fair_fairness.index.ids, fair_fairness.values):
-            lines.append(f"fair-ensemble,{instance_id},{value}")
-        (out_dir / "fair_model_fairness.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(out_dir / "fair_model.json", emit_json(payload))
+    for name, text in files.items():
+        write_text_atomic(out_dir / name, text)
     print(f"band {analysis.band.label}: accuracy {ensemble.accuracy}, recall {ensemble.recall}, specificity {ensemble.specificity}")
     print(f"wrote {out_dir / 'fair_model.json'}")
     return EXIT_OK
@@ -125,8 +138,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     labels_path = out_dir / "labels.csv"
     preds_path = out_dir / "predictions.csv"
-    write_labels_csv(labels_path, scenario.validation.labels)
-    write_predictions_csv(preds_path, scenario.runs, which="validation")
+    fairness_path = out_dir / "fairness_predictions.csv"
     entries = {
         "labels": labels_path.name,
         "predictions": preds_path.name,
@@ -139,17 +151,20 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     if args.tie_break:
         entries["tie_break"] = args.tie_break
     if scenario.fairness is not None:
-        fairness_path = out_dir / "fairness_predictions.csv"
-        write_predictions_csv(fairness_path, scenario.runs, which="fairness")
         entries["fairness_predictions"] = fairness_path.name
+    # the manifest goes first, so an entry it refuses leaves no input file behind
     manifest_path = out_dir / "manifest.txt"
     write_manifest(manifest_path, entries)
+    write_labels_csv(labels_path, scenario.validation.labels)
+    write_predictions_csv(preds_path, scenario.runs, which="validation")
+    if scenario.fairness is not None:
+        write_predictions_csv(fairness_path, scenario.runs, which="fairness")
     print(f"scenario {scenario.name}: {scenario.notes}")
     print(f"{len(scenario.runs)} runs over {scenario.validation.size} validation instances")
     for path in (labels_path, preds_path, manifest_path):
         print(f"wrote {path}")
     if scenario.fairness is not None:
-        print(f"wrote {out_dir / 'fairness_predictions.csv'}")
+        print(f"wrote {fairness_path}")
     return EXIT_OK
 
 
@@ -195,7 +210,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         }
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(emit_json(payload), encoding="utf-8")
+        write_text_atomic(out, emit_json(payload))
         print(f"wrote {out}")
     return EXIT_OK
 

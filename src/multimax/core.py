@@ -147,46 +147,58 @@ class InstanceIndex:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _BinaryVector:
+    """0/1 values over an index, held as a read-only 1-D uint8 array.
+
+    Integer or boolean input is validated in bulk and copied unless it is
+    already a read-only uint8 array, which is shared as is.  Float, string
+    and object input is refused rather than coerced.  Two vectors are equal
+    when they have the same type and index and equal values.
+    """
+
     index: InstanceIndex
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        coerced = tuple(int(v) for v in self.values)
-        if any(v not in (UNFAVOURABLE, FAVOURABLE) for v in coerced):
-            bad = next(v for v in coerced if v not in (UNFAVOURABLE, FAVOURABLE))
-            raise ValueError(f"binary vector values must be 0 or 1, got {bad}")
-        object.__setattr__(self, "values", coerced)
-        if len(self.values) != self.index.size:
-            raise AlignmentError(
-                f"{len(self.values)} values for an index of size {self.index.size}"
-            )
+        values = np.asarray(self.values)
+        if values.dtype.kind not in "biu":
+            raise ValueError(f"binary vector values must be integer or bool, not {values.dtype}")
+        if values.ndim != 1:
+            raise ValueError(f"binary vector values must be one-dimensional, not {values.ndim}-D")
+        outside = (values != UNFAVOURABLE) & (values != FAVOURABLE)
+        if outside.any():
+            raise ValueError(f"binary vector values must be 0 or 1, got {values[outside][0]}")
+        if len(values) != self.index.size:
+            raise AlignmentError(f"{len(values)} values for an index of size {self.index.size}")
+        if values.dtype != np.uint8 or values.flags.writeable:
+            values = values.astype(np.uint8)
+            values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
-    @cached_property
-    def as_array(self) -> np.ndarray:
-        arr = np.array(self.values, dtype=np.uint8)
-        arr.flags.writeable = False
-        return arr
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.index == other.index and np.array_equal(self.values, other.values)
 
     def value_for(self, instance_id: str) -> int:
-        return self.values[self.index.position(instance_id)]
+        return int(self.values[self.index.position(instance_id)])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelVector(_BinaryVector):
     """Ground-truth labels over an index; 1 is the favourable class."""
 
     @property
     def positives(self) -> int:
-        return int(np.count_nonzero(self.as_array))
+        return int(np.count_nonzero(self.values))
 
     @property
     def negatives(self) -> int:
         return self.index.size - self.positives
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionVector(_BinaryVector):
     """Crisp 0/1 predictions of one model run over an index."""
 
@@ -219,8 +231,8 @@ def confusion_matrix(preds: PredictionVector, labels: LabelVector) -> ConfusionM
             "predictions and labels use different instance indices "
             f"({preds.index.size} vs {labels.index.size} ids)"
         )
-    p = preds.as_array
-    y = labels.as_array
+    p = preds.values
+    y = labels.values
     tp = int(np.count_nonzero(p & y))
     fp = int(np.count_nonzero(p > y))
     fn = int(np.count_nonzero(y > p))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,11 +34,9 @@ from .core import (
 )
 from .errors import AlignmentError, AnalysisError, InvariantViolation
 
-RunSource = Iterable[ModelRun] | Mapping[str, ModelRun]
-
 
 def member_matrix(
-    band: PerformanceBand, runs: RunSource, which: str = "fairness"
+    band: PerformanceBand, runs: Sequence[ModelRun], which: str = "fairness"
 ) -> tuple[tuple[str, ...], np.ndarray, InstanceIndex]:
     """Member ids (sorted), their stacked prediction rows, and the shared index.
 
@@ -47,7 +45,7 @@ def member_matrix(
     """
     if which not in ("fairness", "validation"):
         raise ValueError(f"unknown prediction set {which!r}")
-    lookup = runs if isinstance(runs, Mapping) else runs_by_id(runs)
+    lookup = runs_by_id(runs)
     members = []
     for run_id in band.run_ids:
         if run_id not in lookup:
@@ -60,7 +58,7 @@ def member_matrix(
     for run, vec in zip(members, vectors):
         if vec.index != index:
             raise AlignmentError(f"run {run.run_id!r} uses a different {which} index")
-    matrix = np.vstack([vec.as_array for vec in vectors])
+    matrix = np.vstack([vec.values for vec in vectors])
     return tuple(run.run_id for run in members), matrix, index
 
 
@@ -80,17 +78,9 @@ class DisputableSet:
         return instance_id in self.per_instance_vote
 
 
-def disputable_instances(
-    band: PerformanceBand, runs: RunSource, fairness_index: InstanceIndex | None = None
-) -> DisputableSet:
-    """Fairness instances where at least two band members disagree.
-
-    Instance ids come back in fairness-index order.  When fairness_index is
-    given, the members' shared index must equal it.
-    """
+def disputable_instances(band: PerformanceBand, runs: Sequence[ModelRun]) -> DisputableSet:
+    """Fairness instances where at least two band members disagree, in index order."""
     member_ids, matrix, index = member_matrix(band, runs, which="fairness")
-    if fairness_index is not None and index != fairness_index:
-        raise AlignmentError("band members do not use the requested fairness index")
     disputed = (matrix != matrix[0]).any(axis=0)
     ones = matrix.sum(axis=0, dtype=np.int64)
     ids = []
@@ -102,7 +92,7 @@ def disputable_instances(
     return DisputableSet(band_label=band.label, instance_ids=tuple(ids), per_instance_vote=votes)
 
 
-def ambiguity(band: PerformanceBand, runs: RunSource) -> ExactRatio:
+def ambiguity(band: PerformanceBand, runs: Sequence[ModelRun]) -> ExactRatio:
     """Disputable fraction of the fairness index, as an exact ratio."""
     _, matrix, index = member_matrix(band, runs, which="fairness")
     disputed = (matrix != matrix[0]).any(axis=0)
@@ -120,7 +110,9 @@ class FairnessVerdict:
     witness_instance: str | None = None
 
 
-def is_individually_fair(run_id: str, band: PerformanceBand, runs: RunSource) -> FairnessVerdict:
+def is_individually_fair(
+    run_id: str, band: PerformanceBand, runs: Sequence[ModelRun]
+) -> FairnessVerdict:
     """Check one band member against all the others.
 
     The run is individually fair when no other member contradicts it on any
@@ -199,7 +191,7 @@ def _hash_rank(seed: int, item: str) -> tuple[str, str]:
 
 
 def discrepancy(
-    band: PerformanceBand, runs: RunSource, cap: int = 500, seed: int = 0
+    band: PerformanceBand, runs: Sequence[ModelRun], cap: int = 500, seed: int = 0
 ) -> DiscrepancyStats:
     """Disagreement counts over every pair among up to cap retained runs."""
     if cap < 2:
@@ -225,11 +217,11 @@ def discrepancy(
 
 
 def ensemble_predictions(
-    band: PerformanceBand, runs: RunSource, which: str = "fairness"
+    band: PerformanceBand, runs: Sequence[ModelRun], which: str = "fairness"
 ) -> PredictionVector:
     """Pointwise maximum of the band: favourable wherever any member says so."""
     _, matrix, index = member_matrix(band, runs, which=which)
-    return PredictionVector(index=index, values=tuple(int(v) for v in matrix.max(axis=0)))
+    return PredictionVector(index=index, values=matrix.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -253,7 +245,9 @@ class FairEnsembleReport:
     member_deltas: dict[str, MetricDeltas]
 
 
-def fair_ensemble(band: PerformanceBand, runs: RunSource, labels: LabelVector) -> FairEnsembleReport:
+def fair_ensemble(
+    band: PerformanceBand, runs: Sequence[ModelRun], labels: LabelVector
+) -> FairEnsembleReport:
     """Build the band's max-ensemble and measure it on the validation labels.
 
     The ensemble predicts the favourable class for an instance exactly when
@@ -266,7 +260,7 @@ def fair_ensemble(band: PerformanceBand, runs: RunSource, labels: LabelVector) -
         raise AlignmentError("labels do not use the band's validation index")
     star = confusion_matrix(preds, labels)
     star_metrics = {kind: metric(star, kind) for kind in ("accuracy", "recall", "specificity")}
-    lookup = runs if isinstance(runs, Mapping) else runs_by_id(runs)
+    lookup = runs_by_id(runs)
     deltas: dict[str, MetricDeltas] = {}
     for run_id in band.run_ids:
         cm = confusion_matrix(lookup[run_id].preds_validation, labels)
@@ -292,14 +286,14 @@ def fair_ensemble(band: PerformanceBand, runs: RunSource, labels: LabelVector) -
 
 
 def prediction_vector_groups(
-    band: PerformanceBand, runs: RunSource, which: str = "fairness"
+    band: PerformanceBand, runs: Sequence[ModelRun]
 ) -> tuple[tuple[str, ...], ...]:
-    """Band members grouped by identical prediction vectors.
+    """Band members grouped by identical fairness prediction vectors.
 
     Groups come back largest first (ties by first appearance among the sorted
     member ids); each group lists its member run ids sorted.
     """
-    member_ids, matrix, _ = member_matrix(band, runs, which=which)
+    member_ids, matrix, _ = member_matrix(band, runs, which="fairness")
     groups: dict[bytes, list[str]] = {}
     for run_id, row in zip(member_ids, matrix):
         groups.setdefault(row.tobytes(), []).append(run_id)
@@ -307,15 +301,13 @@ def prediction_vector_groups(
     return tuple(tuple(sorted(g)) for g in ordered)
 
 
-def unique_vector_counts(
-    band: PerformanceBand, runs: RunSource, which: str = "fairness"
-) -> tuple[int, ...]:
+def unique_vector_counts(band: PerformanceBand, runs: Sequence[ModelRun]) -> tuple[int, ...]:
     """Sizes of the identical-prediction groups, largest first."""
-    return tuple(len(g) for g in prediction_vector_groups(band, runs, which=which))
+    return tuple(len(g) for g in prediction_vector_groups(band, runs))
 
 
 def ambiguity_by_group(
-    band: PerformanceBand, runs: RunSource, grouping: Mapping[str, str]
+    band: PerformanceBand, runs: Sequence[ModelRun], grouping: Mapping[str, str]
 ) -> dict[str, ExactRatio]:
     """Disputable fraction within each instance group, keyed by group name.
 

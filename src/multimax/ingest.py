@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from operator import itemgetter
@@ -197,8 +198,8 @@ def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[st
             f"labels must be binary; only {values[0]!r} occurs", path=str(path)
         )
     value_map = {value: 1 if value == favourable_label else 0 for value in values}
-    index = InstanceIndex(tuple(ids))
-    return LabelVector(index, tuple(map(value_map.__getitem__, raw))), value_map
+    values = np.fromiter(map(value_map.__getitem__, raw), dtype=np.uint8, count=len(raw))
+    return LabelVector(InstanceIndex(tuple(ids)), values), value_map
 
 
 def _prediction_matrix(
@@ -207,7 +208,8 @@ def _prediction_matrix(
     """Parse a long-form prediction file into a runs x instances 0/1 matrix.
 
     Returns run ids in first-appearance order, the instance index and the
-    uint8 matrix whose rows follow the run ids.  `index` is the validation
+    read-only uint8 matrix whose rows follow the run ids, so the vectors
+    built from its rows share it without a copy.  `index` is the validation
     index; None means a fairness file, whose index is the first run's
     instances in file order.  Every run must predict every index instance
     exactly once and nothing else: one bincount over the flat cell index
@@ -239,6 +241,7 @@ def _prediction_matrix(
         _raise_prediction_fault(path, value_map, index)
     matrix = np.empty((len(run_ids), target.size), dtype=np.uint8)
     matrix[rows, cols] = values
+    matrix.flags.writeable = False
     return run_ids, target, matrix
 
 
@@ -318,7 +321,7 @@ def load_predictions(
         ModelRun.from_predictions(
             run_id=run_id,
             family_tag=family_tag,
-            preds_validation=PredictionVector(index, tuple(row.tolist())),
+            preds_validation=PredictionVector(index, row),
             labels=labels,
         )
         for run_id, row in zip(run_ids, matrix)
@@ -334,9 +337,7 @@ def load_fairness_predictions(
     must cover exactly the same instances.
     """
     run_ids, index, matrix = _prediction_matrix(path, value_map, None)
-    return index, {
-        run_id: PredictionVector(index, tuple(row.tolist())) for run_id, row in zip(run_ids, matrix)
-    }
+    return index, {run_id: PredictionVector(index, row) for run_id, row in zip(run_ids, matrix)}
 
 
 def attach_fairness(
@@ -502,7 +503,7 @@ def write_labels_csv(path: Path, labels: LabelVector) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(LABEL_HEADER)
-        for instance_id, value in zip(labels.index.ids, labels.values):
+        for instance_id, value in zip(labels.index.ids, labels.values.tolist()):
             writer.writerow([instance_id, str(value)])
 
 
@@ -521,11 +522,41 @@ def write_predictions_csv(path: Path, runs: Iterable[ModelRun], which: str = "va
         writer = csv.writer(handle)
         writer.writerow(PREDICTION_HEADER)
         for run_id, vector in vectors:
-            for instance_id, value in zip(vector.index.ids, vector.values):
+            for instance_id, value in zip(vector.index.ids, vector.values.tolist()):
                 writer.writerow([run_id, instance_id, str(value)])
 
 
 def write_manifest(path: Path, entries: Mapping[str, str]) -> None:
-    """Write a flat manifest; values land verbatim."""
+    """Write a flat manifest; an entry load_manifest would read back changed is refused.
+
+    load_manifest splits lines on line breaks, skips # comments, splits each
+    line at its first '=' and strips both sides, so a key must not hold '='
+    or start with '#', and neither side may be empty, padded or hold a line
+    break.
+    """
+    for key, value in entries.items():
+        if "=" in key or key.startswith("#"):
+            raise ValidationError(f"manifest key {key!r} must not hold '=' or start with '#'")
+        if any(not t or t != t.strip() or "\n" in t or "\r" in t for t in (key, value)):
+            raise ValidationError(
+                f"manifest entry {key!r}={value!r} is empty, padded or holds a line break"
+            )
     lines = [f"{key}={value}" for key, value in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(Path(path), "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path: Path, text: str) -> None:
+    """Write UTF-8 text to path through a temporary file in the same directory.
+
+    The temporary file is renamed over path only once it is complete, so
+    path holds either its old bytes or all of the new ones; on any failure
+    the temporary file is removed and the old file is left as it was.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -16,7 +16,6 @@ holding the plotted numbers, because pixels are not an API.
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -25,20 +24,17 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .banding import PerformanceBand
-from .core import ExactRatio
+from .core import ExactRatio, ModelRun
 from .errors import AlignmentError, AnalysisError
 from .fairness import (
     DiscrepancyStats,
-    RunSource,
     _hash_rank,
     member_matrix,
     prediction_vector_groups,
 )
 
-_HEX_COLOR = re.compile(r"#[0-9a-f]{6}", re.IGNORECASE)
-
 # colour-blind-friendly cycle; dashes disambiguate once colours repeat
-DEFAULT_PALETTE = (
+BAND_PALETTE = (
     "#0173b2",
     "#de8f05",
     "#029e73",
@@ -52,58 +48,29 @@ DEFAULT_PALETTE = (
     "#b2182b",
     "#2166ac",
 )
+DASH_PATTERNS = ("", "6,3", "2,2", "8,2,2,2")
+# mix weights towards white for the two prediction cells; they stay well apart
+# so the two outcomes survive both printing and mild colour-vision loss
+FAVOURABLE_SHADE = 0.95
+UNFAVOURABLE_SHADE = 0.30
+CELL_PX = 14
+FONT_PX = 11
+# the display size shrinks to fit this canvas; the viewBox keeps the layout
+MAX_WIDTH = 1600
+MAX_HEIGHT = 1200
 
 
-@dataclass(frozen=True)
-class ProfileStyle:
-    """Shared look of the rendered profiles.
-
-    favourable_shade / unfavourable_shade are mix weights towards white for
-    the two prediction cells; they must stay well apart so the two outcomes
-    survive both printing and mild colour-vision loss.
-    """
-
-    band_palette: tuple[str, ...] = DEFAULT_PALETTE
-    dash_patterns: tuple[str, ...] = ("", "6,3", "2,2", "8,2,2,2")
-    favourable_shade: float = 0.95
-    unfavourable_shade: float = 0.30
-    cell_px: int = 14
-    font_px: int = 11
-    max_width: int = 1600
-    max_height: int = 1200
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "band_palette", tuple(self.band_palette))
-        object.__setattr__(self, "dash_patterns", tuple(self.dash_patterns))
-        if not self.band_palette:
-            raise ValueError("band_palette must not be empty")
-        for colour in self.band_palette:
-            if not _HEX_COLOR.fullmatch(colour):
-                raise ValueError(f"palette entry {colour!r} is not a #rrggbb colour")
-        for shade in (self.favourable_shade, self.unfavourable_shade):
-            if not 0.0 <= shade <= 1.0:
-                raise ValueError("shades must lie in [0, 1]")
-        if abs(self.favourable_shade - self.unfavourable_shade) < 0.3:
-            raise ValueError("favourable and unfavourable shades are too close to tell apart")
-        if self.cell_px < 4:
-            raise ValueError("cell_px below 4 is unreadable")
-        if self.font_px < 6:
-            raise ValueError("font_px below 6 is unreadable")
-        if self.max_width < 200 or self.max_height < 200:
-            raise ValueError("maximum canvas dimensions are too small")
-
-    def band_colour(self, position: int) -> str:
-        return self.band_palette[position % len(self.band_palette)]
-
-    def band_dash(self, position: int) -> str:
-        return self.dash_patterns[(position // len(self.band_palette)) % len(self.dash_patterns)]
-
-    def prediction_fill(self, position: int, favourable: bool) -> str:
-        weight = self.favourable_shade if favourable else self.unfavourable_shade
-        return _mix_towards_white(self.band_colour(position), weight)
+def band_colour(position: int) -> str:
+    return BAND_PALETTE[position % len(BAND_PALETTE)]
 
 
-DEFAULT_STYLE = ProfileStyle()
+def band_dash(position: int) -> str:
+    return DASH_PATTERNS[(position // len(BAND_PALETTE)) % len(DASH_PATTERNS)]
+
+
+def prediction_fill(position: int, favourable: bool) -> str:
+    weight = FAVOURABLE_SHADE if favourable else UNFAVOURABLE_SHADE
+    return _mix_towards_white(band_colour(position), weight)
 
 
 def _mix_towards_white(colour: str, weight: float) -> str:
@@ -171,10 +138,10 @@ class _SvgDoc:
             f'text-anchor="{anchor}" fill="{fill}">{escape(content)}</text>'
         )
 
-    def render(self, width: float, height: float, style: ProfileStyle) -> str:
+    def render(self, width: float, height: float) -> str:
         # the viewBox carries layout coordinates; width/height shrink the
-        # display size when a profile outgrows the configured canvas
-        scale = min(1.0, style.max_width / width, style.max_height / height)
+        # display size when a profile outgrows the canvas
+        scale = min(1.0, MAX_WIDTH / width, MAX_HEIGHT / height)
         header = (
             '<svg xmlns="http://www.w3.org/2000/svg" '
             f'viewBox="0 0 {_fmt(width)} {_fmt(height)}" '
@@ -195,12 +162,10 @@ class RenderedSvg:
 
 def stability_profile(
     bands: Sequence[PerformanceBand],
-    runs: RunSource,
+    runs: Sequence[ModelRun],
     top_n: int = 8,
-    style: ProfileStyle = DEFAULT_STYLE,
-    which: str = "fairness",
 ) -> RenderedSvg:
-    """One pyramid per band: its identical-prediction groups, largest at the base.
+    """One pyramid per band: its identical fairness predictions, largest at the base.
 
     Segment widths share a single per-run scale across bands, so a band of
     36 runs visibly dwarfs a band of 3 and equal-width segments mean equal
@@ -212,25 +177,24 @@ def stability_profile(
     if not shown:
         raise AnalysisError("no bands to draw")
     counts_per_band = [
-        [len(group) for group in prediction_vector_groups(band, runs, which=which)]
-        for band in shown
+        [len(group) for group in prediction_vector_groups(band, runs)] for band in shown
     ]
     max_count = max(c for counts in counts_per_band for c in counts)
     max_segments = max(len(counts) for counts in counts_per_band)
 
-    col_inner = max(110, style.cell_px * 8)
+    col_inner = CELL_PX * 8
     col_gap = 24
-    seg_h = style.cell_px + 2
+    seg_h = CELL_PX + 2
     margin_left = 20
     margin_top = 48
-    label_h = 2 * (style.font_px + 4)
+    label_h = 2 * (FONT_PX + 4)
     pyramid_h = max_segments * seg_h
     width = margin_left + len(shown) * (col_inner + col_gap) + margin_left
     height = margin_top + pyramid_h + label_h + 16
     unit = col_inner / max_count
 
     doc = _SvgDoc()
-    doc.text(margin_left, 24, "stability profile: identical-prediction groups per band", style.font_px + 3)
+    doc.text(margin_left, 24, "stability profile: identical-prediction groups per band", FONT_PX + 3)
     base_y = margin_top + pyramid_h
     sidecar_bands = []
     for pos, (band, counts) in enumerate(zip(shown, counts_per_band)):
@@ -240,18 +204,16 @@ def stability_profile(
             w = count * unit
             x = cx - w / 2
             y = base_y - (level + 1) * seg_h
-            shade = style.favourable_shade if level % 2 == 0 else (
-                style.favourable_shade + style.unfavourable_shade
-            ) / 2
-            doc.rect(x, y, w, seg_h - 1, _mix_towards_white(style.band_colour(pos), shade), stroke=style.band_colour(pos))
-            doc.text(cx, y + seg_h - 4, str(count), style.font_px - 1, anchor="middle")
+            shade = FAVOURABLE_SHADE if level % 2 == 0 else (FAVOURABLE_SHADE + UNFAVOURABLE_SHADE) / 2
+            doc.rect(x, y, w, seg_h - 1, _mix_towards_white(band_colour(pos), shade), stroke=band_colour(pos))
+            doc.text(cx, y + seg_h - 4, str(count), FONT_PX - 1, anchor="middle")
         doc.line(cx - col_inner / 2, base_y, cx + col_inner / 2, base_y, stroke="#888888")
-        doc.text(cx, base_y + style.font_px + 4, band.label, style.font_px, anchor="middle")
+        doc.text(cx, base_y + FONT_PX + 4, band.label, FONT_PX, anchor="middle")
         doc.text(
             cx,
-            base_y + 2 * (style.font_px + 4),
+            base_y + 2 * (FONT_PX + 4),
             f"{band.run_count} runs / {len(counts)} vectors",
-            style.font_px - 1,
+            FONT_PX - 1,
             anchor="middle",
         )
         sidecar_bands.append(
@@ -264,10 +226,10 @@ def stability_profile(
         )
     sidecar = {
         "kind": "stability_profile",
-        "prediction_set": which,
+        "prediction_set": "fairness",
         "bands": sidecar_bands,
     }
-    return RenderedSvg(svg=doc.render(width, height, style), sidecar=sidecar)
+    return RenderedSvg(svg=doc.render(width, height), sidecar=sidecar)
 
 
 def _select_columns(
@@ -296,10 +258,9 @@ def _select_columns(
 
 def fairness_profile(
     bands: Sequence[PerformanceBand],
-    runs: RunSource,
+    runs: Sequence[ModelRun],
     variant: str = "summary",
     max_instances: int = 250,
-    style: ProfileStyle = DEFAULT_STYLE,
     seed: int = 0,
 ) -> RenderedSvg:
     """Per-instance predictions of every member of every band, as cell rows.
@@ -346,44 +307,37 @@ def fairness_profile(
         ]
     col_pos = [index.position(c) for c in columns]
 
-    cell = style.cell_px
+    cell = CELL_PX
     band_gap = 8
     margin_left = 140
     margin_top = 48
-    legend_h = (style.font_px + 6) * (len(shown) + 2)
+    legend_h = (FONT_PX + 6) * (len(shown) + 2)
     total_rows = sum(len(member_ids) for _, member_ids, _ in matrices)
     width = margin_left + len(columns) * cell + 30
     height = margin_top + total_rows * cell + band_gap * len(shown) + legend_h + 30
 
     doc = _SvgDoc()
     title = f"fairness profile ({variant}): member predictions per instance"
-    doc.text(20, 24, title, style.font_px + 3)
+    doc.text(20, 24, title, FONT_PX + 3)
     sidecar_bands = []
     y = margin_top
     for pos, (band, member_ids, matrix) in enumerate(matrices):
         block = matrix[:, col_pos]
         if variant == "summary":
             block = np.sort(block, axis=0)[::-1]
+        fills = (prediction_fill(pos, False), prediction_fill(pos, True))
         rows_meta = []
-        for r in range(block.shape[0]):
-            run_id = member_ids[r] if variant == "faithful" else None
-            rows_meta.append({"run_id": run_id})
-            for c in range(block.shape[1]):
-                favourable = bool(block[r, c])
-                doc.rect(
-                    margin_left + c * cell,
-                    y + r * cell,
-                    cell - 1,
-                    cell - 1,
-                    style.prediction_fill(pos, favourable),
-                )
+        for r, row in enumerate(block.tolist()):
+            rows_meta.append({"run_id": member_ids[r] if variant == "faithful" else None})
+            for c, value in enumerate(row):
+                doc.rect(margin_left + c * cell, y + r * cell, cell - 1, cell - 1, fills[value])
         doc.text(
             margin_left - 8,
-            y + (block.shape[0] * cell) / 2 + style.font_px / 2,
+            y + (block.shape[0] * cell) / 2 + FONT_PX / 2,
             band.label,
-            style.font_px,
+            FONT_PX,
             anchor="end",
-            fill=style.band_colour(pos),
+            fill=band_colour(pos),
         )
         counts = {
             column: [int(block[:, c].sum()), int(block.shape[0] - block[:, c].sum())]
@@ -399,25 +353,25 @@ def fairness_profile(
         )
         y += block.shape[0] * cell + band_gap
 
-    legend_y = y + style.font_px + 6
-    doc.text(20, legend_y, "bands:", style.font_px)
+    legend_y = y + FONT_PX + 6
+    doc.text(20, legend_y, "bands:", FONT_PX)
     for pos, (band, _, _) in enumerate(matrices):
-        ly = legend_y + (pos + 1) * (style.font_px + 6)
-        doc.rect(20, ly - style.font_px + 2, style.font_px, style.font_px, style.band_colour(pos))
-        doc.text(20 + style.font_px + 6, ly, band.label, style.font_px)
-    note_y = legend_y + (len(matrices) + 1) * (style.font_px + 6)
+        ly = legend_y + (pos + 1) * (FONT_PX + 6)
+        doc.rect(20, ly - FONT_PX + 2, FONT_PX, FONT_PX, band_colour(pos))
+        doc.text(20 + FONT_PX + 6, ly, band.label, FONT_PX)
+    note_y = legend_y + (len(matrices) + 1) * (FONT_PX + 6)
     shade_x = 20
-    doc.rect(shade_x, note_y - style.font_px + 2, style.font_px, style.font_px, style.prediction_fill(0, True))
-    doc.text(shade_x + style.font_px + 6, note_y, "favourable", style.font_px)
+    doc.rect(shade_x, note_y - FONT_PX + 2, FONT_PX, FONT_PX, prediction_fill(0, True))
+    doc.text(shade_x + FONT_PX + 6, note_y, "favourable", FONT_PX)
     shade_x += 110
-    doc.rect(shade_x, note_y - style.font_px + 2, style.font_px, style.font_px, style.prediction_fill(0, False))
-    doc.text(shade_x + style.font_px + 6, note_y, "unfavourable", style.font_px)
+    doc.rect(shade_x, note_y - FONT_PX + 2, FONT_PX, FONT_PX, prediction_fill(0, False))
+    doc.text(shade_x + FONT_PX + 6, note_y, "unfavourable", FONT_PX)
     if sampled:
         doc.text(
             shade_x + 140,
             note_y,
             f"columns: seeded sample of {len(columns)} disputed instances (seed {seed})",
-            style.font_px,
+            FONT_PX,
         )
 
     sidecar = {
@@ -429,7 +383,7 @@ def fairness_profile(
         "disputable_union_size": len(disputable_union),
         "bands": sidecar_bands,
     }
-    return RenderedSvg(svg=doc.render(width, height, style), sidecar=sidecar)
+    return RenderedSvg(svg=doc.render(width, height), sidecar=sidecar)
 
 
 @dataclass(frozen=True)
@@ -445,7 +399,6 @@ class FoldPanelData:
 def multiplicity_panel(
     folds: Sequence[FoldPanelData],
     band_order: Sequence[str],
-    style: ProfileStyle = DEFAULT_STYLE,
 ) -> RenderedSvg:
     """Three stacked panels over one band axis: ambiguity, discrepancy, counts.
 
@@ -475,7 +428,7 @@ def multiplicity_panel(
                         f"fold {fold.fold_id!r} reports {mapping_name} for unknown band {label!r}"
                     )
 
-    col_w = max(64, style.cell_px * 5)
+    col_w = CELL_PX * 5
     margin_left = 70
     margin_top = 40
     panel_h = 130
@@ -487,7 +440,7 @@ def multiplicity_panel(
         return margin_left + i * col_w + col_w / 2
 
     doc = _SvgDoc()
-    doc.text(20, 22, "multiplicity panel: ambiguity / discrepancy / run count by band", style.font_px + 3)
+    doc.text(20, 22, "multiplicity panel: ambiguity / discrepancy / run count by band", FONT_PX + 3)
 
     # panel 1: ambiguity polylines, one per fold
     amb_top = margin_top
@@ -497,28 +450,28 @@ def multiplicity_panel(
         for label in fold.ambiguity
     ]
     amb_max = max(amb_values + [0.0]) or 1.0
-    doc.text(margin_left - 10, amb_top + style.font_px, "ambiguity", style.font_px, anchor="end")
+    doc.text(margin_left - 10, amb_top + FONT_PX, "ambiguity", FONT_PX, anchor="end")
     doc.line(margin_left, amb_top + panel_h, width - 30, amb_top + panel_h)
     doc.line(margin_left, amb_top, margin_left, amb_top + panel_h)
     for tick in (0.0, 0.5, 1.0):
         ty = amb_top + panel_h - tick * (panel_h - 14)
-        doc.text(margin_left - 6, ty + 3, f"{tick * amb_max * 100:.1f}%", style.font_px - 2, anchor="end")
+        doc.text(margin_left - 6, ty + 3, f"{tick * amb_max * 100:.1f}%", FONT_PX - 2, anchor="end")
     for fpos, fold in enumerate(folds):
         pts = []
-        colour = style.band_colour(fpos)
+        colour = band_colour(fpos)
         for i, label in enumerate(band_order):
             if label not in fold.ambiguity:
                 continue
             value = float(fold.ambiguity[label].as_fraction())
             pts.append((band_x(i), amb_top + panel_h - (value / amb_max) * (panel_h - 14)))
         if len(pts) > 1:
-            doc.polyline(pts, colour, dash=style.band_dash(fpos))
+            doc.polyline(pts, colour, dash=band_dash(fpos))
         for x, yy in pts:
             doc.circle(x, yy, 2.5, colour)
 
     # panel 2: pooled discrepancy violins
     disc_top = margin_top + panel_h + panel_gap
-    doc.text(margin_left - 10, disc_top + style.font_px, "discrepancy", style.font_px, anchor="end")
+    doc.text(margin_left - 10, disc_top + FONT_PX, "discrepancy", FONT_PX, anchor="end")
     doc.line(margin_left, disc_top + panel_h, width - 30, disc_top + panel_h)
     doc.line(margin_left, disc_top, margin_left, disc_top + panel_h)
     pooled: dict[str, list[DiscrepancyStats]] = {}
@@ -539,7 +492,7 @@ def multiplicity_panel(
     disc_max = max([float(v.max()) for v in pooled_values.values() if v.size] + [0.0]) or 1.0
     for tick in (0.0, 0.5, 1.0):
         ty = disc_top + panel_h - tick * (panel_h - 14)
-        doc.text(margin_left - 6, ty + 3, f"{tick * disc_max * 100:.1f}%", style.font_px - 2, anchor="end")
+        doc.text(margin_left - 6, ty + 3, f"{tick * disc_max * 100:.1f}%", FONT_PX - 2, anchor="end")
     n_bins = 12
     markers: dict[str, str] = {}
     for i, label in enumerate(band_order):
@@ -568,13 +521,13 @@ def multiplicity_panel(
                 continue
             half = hist[b] * half_unit
             y_lo = disc_top + panel_h - (b + 1) * bin_h
-            doc.rect(x - half, y_lo, 2 * half, bin_h - 0.5, style.band_colour(i % len(style.band_palette)))
+            doc.rect(x - half, y_lo, 2 * half, bin_h - 0.5, band_colour(i))
     for i, label in enumerate(band_order):
-        doc.text(band_x(i), disc_top + panel_h + style.font_px + 4, label, style.font_px - 1, anchor="middle")
+        doc.text(band_x(i), disc_top + panel_h + FONT_PX + 4, label, FONT_PX - 1, anchor="middle")
 
     # panel 3: run counts (log scale, max across folds)
-    cnt_top = disc_top + panel_h + panel_gap + style.font_px + 8
-    doc.text(margin_left - 10, cnt_top + style.font_px, "runs", style.font_px, anchor="end")
+    cnt_top = disc_top + panel_h + panel_gap + FONT_PX + 8
+    doc.text(margin_left - 10, cnt_top + FONT_PX, "runs", FONT_PX, anchor="end")
     doc.line(margin_left, cnt_top + panel_h, width - 30, cnt_top + panel_h)
     doc.line(margin_left, cnt_top, margin_left, cnt_top + panel_h)
     max_counts = {
@@ -589,8 +542,8 @@ def multiplicity_panel(
             continue
         h = (float(np.log10(count + 1)) / log_cap) * (panel_h - 18)
         x = band_x(i)
-        doc.rect(x - col_w / 4, cnt_top + panel_h - h, col_w / 2, h, style.band_colour(i % len(style.band_palette)))
-        doc.text(x, cnt_top + panel_h - h - 4, str(count), style.font_px - 2, anchor="middle")
+        doc.rect(x - col_w / 4, cnt_top + panel_h - h, col_w / 2, h, band_colour(i))
+        doc.text(x, cnt_top + panel_h - h - 4, str(count), FONT_PX - 2, anchor="middle")
 
     sidecar = {
         "kind": "multiplicity_panel",
@@ -612,4 +565,4 @@ def multiplicity_panel(
             label: dict(pooled_counts[label]) for label in band_order if label in pooled
         },
     }
-    return RenderedSvg(svg=doc.render(width, height, style), sidecar=sidecar)
+    return RenderedSvg(svg=doc.render(width, height), sidecar=sidecar)

@@ -37,6 +37,7 @@ from .ingest import (
     load_predictions,
     read_group_map,
     read_labels,
+    write_text_atomic,
 )
 from .profiles import (
     FoldPanelData,
@@ -361,14 +362,14 @@ def audit(
     out_dir.mkdir(parents=True, exist_ok=True)
     written: dict[str, Path] = {}
     report_path = out_dir / REPORT_BASENAME
-    report_path.write_text(emit_json(outcome.payload), encoding="utf-8")
+    write_text_atomic(report_path, emit_json(outcome.payload))
     written["report"] = report_path
     for name in PROFILE_BASENAMES:
         render = outcome.renders[name]
         svg_path = out_dir / f"{name}.svg"
-        svg_path.write_text(render.svg, encoding="utf-8")
+        write_text_atomic(svg_path, render.svg)
         sidecar_path = out_dir / f"{name}.sidecar.json"
-        sidecar_path.write_text(emit_json(render.sidecar), encoding="utf-8")
+        write_text_atomic(sidecar_path, emit_json(render.sidecar))
         written[name] = svg_path
         written[f"{name}.sidecar"] = sidecar_path
     return outcome, written

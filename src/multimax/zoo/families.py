@@ -92,7 +92,7 @@ class ZooModel:
 
 def _candidates(spec: FamilySpec, train: Dataset2D) -> list[tuple[object, str]]:
     X = train.points.as_array()
-    y = train.labels.as_array
+    y = train.labels.values
     out: list[tuple[object, str]] = []
     if spec.kind == "linear":
         for angle, offset in spec.lines:
@@ -161,11 +161,11 @@ def enumerate_family(
             if signature in seen:
                 continue
             seen.add(signature)
-        preds_val = PredictionVector(validation.index, tuple(int(v) for v in classifier.predict(val_X)))
+        preds_val = PredictionVector(validation.index, classifier.predict(val_X))
         preds_fair = (
             preds_val
             if fairness is None
-            else PredictionVector(fair_points.index, tuple(int(v) for v in classifier.predict(fair_X)))
+            else PredictionVector(fair_points.index, classifier.predict(fair_X))
         )
         run = ModelRun.from_predictions(
             run_id=f"{spec.family_tag}-{i:0{width}d}",
@@ -235,7 +235,7 @@ def flip_search(
             continue
         fresh_target = int(model.classifier.predict(target_point)[0])
         fresh_val = model.classifier.predict(validation.points.as_array())
-        if fresh_target != target_class or tuple(int(v) for v in fresh_val) != run.preds_validation.values:
+        if fresh_target != target_class or not np.array_equal(fresh_val, run.preds_validation.values):
             raise InvariantViolation(f"stored predictions for run {run.run_id!r} do not replay")
         return FlipOutcome(found=model, tried=tried, exhausted=False)
     return FlipOutcome(found=None, tried=tried, exhausted=True)

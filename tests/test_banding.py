@@ -159,29 +159,15 @@ class TestTolerance:
         assert top.contains_utility(ExactRatio(1, 1))
         assert not top.contains_utility(ExactRatio(9699, 10_000))
 
-    def test_custom_anchors(self):
-        runs, _ = runs_with_accuracies([90, 80], 100)
-        anchor = ExactRatio(85, 100)
-        banding = partition(
-            runs, BandingPolicy.parse("tol:5/100"), anchors=[anchor, ExactRatio(1, 10)]
-        )
-        # the 1/10 anchor catches nobody and is dropped
-        assert len(banding) == 1
-        assert banding.top.run_ids == ("r0000", "r0001")
-
-    def test_anchors_rejected_outside_tolerance_mode(self):
-        runs, _ = runs_with_accuracies([90], 100)
-        with pytest.raises(AnalysisError):
-            partition(runs, BandingPolicy(mode="strict"), anchors=[ExactRatio(1, 2)])
-
     def test_duplicate_intervals_collapse(self):
-        runs, _ = runs_with_accuracies([90, 80], 100)
-        banding = partition(
-            runs,
-            BandingPolicy.parse("tol:5/100"),
-            anchors=[ExactRatio(85, 100), ExactRatio(17, 20)],
-        )
+        # every anchor's interval clips to [0, 1]: one band, anchored at the best utility
+        runs, _ = runs_with_accuracies([90, 80, 60], 100)
+        banding = partition(runs, BandingPolicy.parse("tol:1"))
         assert len(banding) == 1
+        assert (banding.top.lo, banding.top.hi) == (Fraction(0), Fraction(1))
+        assert banding.top.epsilon == ExactRatio(90, 100)
+        assert banding.top.run_ids == ("r0000", "r0001", "r0002")
+        assert banding.is_partition
 
 
 class TestBandObject:

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
-from multimax.cli import main
+from multimax.cli import _ensemble_csv, main
+from multimax.core import InstanceIndex, LabelVector, ModelRun, PredictionVector
+from multimax.errors import ValidationError
+from multimax.ingest import write_labels_csv, write_manifest, write_predictions_csv
 from test_report import write_fixture_inputs
 
 
@@ -87,6 +91,11 @@ class TestZooCommand:
         assert "band=round:2" in manifest
         assert "tie_break=specificity,recall" in manifest
 
+    def test_refused_manifest_entry_writes_no_file(self, tmp_path, capsys):
+        assert run_cli("zoo", "--scenario", "stump", "--out", str(tmp_path), "--banding", " strict") == 2
+        assert "' strict'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_scenario_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("zoo", "--scenario", "imaginary", "--out", str(tmp_path))
@@ -149,6 +158,37 @@ class TestFairModelCommand:
         assert code == 0
         fairness_csv = (tmp_path / "fm" / "fair_model_fairness.csv").read_text().splitlines()
         assert len(fairness_csv) - 1 == report["counts"]["fairness_instances"]
+
+    def test_ids_are_quoted_and_read_back_exactly(self, tmp_path, capsys):
+        ids = ("a,b", 'd"q', "plain")
+        labels = LabelVector(InstanceIndex(ids), (1, 0, 1))
+        runs = [
+            ModelRun.from_predictions(run_id, "t", PredictionVector(labels.index, bits), labels)
+            for run_id, bits in (("r1", (1, 0, 0)), ("r2", (0, 0, 1)))
+        ]
+        write_labels_csv(tmp_path / "labels.csv", labels)
+        write_predictions_csv(tmp_path / "predictions.csv", runs)
+        write_manifest(
+            tmp_path / "manifest.txt",
+            {"labels": "labels.csv", "predictions": "predictions.csv", "favourable_label": "1", "band": "strict"},
+        )
+        out = tmp_path / "fm"
+        assert run_cli("fair-model", "--manifest", str(tmp_path / "manifest.txt"), "--band", "2/3", "--out", str(out)) == 0
+        text = (out / "fair_model_validation.csv").read_text(encoding="utf-8")
+        assert text.endswith("fair-ensemble,plain,1\n")
+        with open(out / "fair_model_validation.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [
+            ["run_id", "instance_id", "prediction"],
+            ["fair-ensemble", "a,b", "1"],
+            ["fair-ensemble", 'd"q', "0"],
+            ["fair-ensemble", "plain", "1"],
+        ]
+
+    def test_padded_ids_refused(self):
+        preds = PredictionVector(InstanceIndex((" a", "b")), (1, 0))
+        with pytest.raises(ValidationError, match="' a'"):
+            _ensemble_csv(preds)
 
     def test_unknown_band_lists_known_ones(self, tmp_path, capsys):
         manifest = write_fixture_inputs(tmp_path)

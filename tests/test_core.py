@@ -136,10 +136,59 @@ class TestVectors:
     def test_array_is_readonly(self):
         idx = make_index(3)
         vec = PredictionVector(idx, (1, 0, 1))
-        arr = vec.as_array
+        arr = vec.values
         assert arr.dtype == np.uint8
+        assert arr.shape == (3,)
+        assert arr.tolist() == [1, 0, 1]
         with pytest.raises(ValueError):
             arr[0] = 0
+
+    def test_writeable_input_is_copied_readonly_input_shared(self):
+        idx = make_index(3)
+        source = np.array([1, 0, 1], dtype=np.uint8)
+        vec = PredictionVector(idx, source)
+        source[0] = 0
+        assert vec.values.tolist() == [1, 0, 1]
+        source.flags.writeable = False
+        assert PredictionVector(idx, source).values is source
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (1, 0, 1),
+            [True, False, True],
+            np.array([1, 0, 1], dtype=np.int64),
+            np.array([True, False, True]),
+        ],
+    )
+    def test_integer_and_bool_input_accepted(self, values):
+        vec = LabelVector(make_index(3), values)
+        assert vec.values.dtype == np.uint8
+        assert vec.values.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "values, match",
+        [
+            ((1.0, 0.0, 1.0), "float64"),
+            (np.array([1, 0, 1], dtype=np.float32), "float32"),
+            (("1", "0", "1"), "<U1"),
+            (np.array([1, 0, 1], dtype=object), "object"),
+            (np.array([[1, 0, 1]]), "one-dimensional"),
+            (np.array([[1], [0], [1]], dtype=np.uint8), "one-dimensional"),
+            ((1, -1, 0), "got -1"),
+        ],
+    )
+    def test_non_integer_or_non_flat_rejected(self, values, match):
+        with pytest.raises(ValueError, match=match):
+            PredictionVector(make_index(3), values)
+
+    def test_equality_by_type_index_and_values(self):
+        idx = make_index(3)
+        vec = PredictionVector(idx, (1, 0, 1))
+        assert vec == PredictionVector(idx, np.array([1, 0, 1]))
+        assert vec != PredictionVector(idx, (1, 1, 1))
+        assert vec != PredictionVector(make_index(3, prefix="j"), (1, 0, 1))
+        assert vec != LabelVector(idx, (1, 0, 1))
 
     def test_value_for(self):
         idx = make_index(3)

@@ -57,7 +57,7 @@ class TestLabels:
         labels, value_map = read_labels(path, favourable_label="granted")
         assert value_map == {"denied": 0, "granted": 1}
         assert labels.index.ids == ("alice", "bob", "carol")
-        assert labels.values == (1, 0, 1)
+        assert labels.values.tolist() == [1, 0, 1]
 
     def test_write_read_round_trip(self, tmp_path):
         idx = make_index(4)
@@ -65,7 +65,7 @@ class TestLabels:
         path = tmp_path / "labels.csv"
         write_labels_csv(path, labels)
         loaded, value_map = read_labels(path, favourable_label="1")
-        assert loaded.values == labels.values
+        assert loaded.values.tolist() == labels.values.tolist() == [1, 0, 0, 1]
         assert loaded.index == idx
         assert value_map == {"0": 0, "1": 1}
 
@@ -188,8 +188,8 @@ class TestFairnessPredictions:
         )
         index, vectors = load_fairness_predictions(path, {"0": 0, "1": 1})
         assert index.ids == ("g1", "g0")
-        assert vectors["r1"].values == (1, 0)
-        assert vectors["r2"].values == (1, 1)
+        assert vectors["r1"].values.tolist() == [1, 0]
+        assert vectors["r2"].values.tolist() == [1, 1]
 
     def test_extra_instance_rejected(self, tmp_path):
         path = write(
@@ -384,6 +384,42 @@ class TestManifest:
         assert manifest.policy.mode == "tolerance"
         assert manifest.policy.delta == Fraction(1, 100)
 
+    def test_written_entries_read_back_unchanged(self, tmp_path):
+        provenance = {
+            "note": "two words",
+            "formula": "a=b+c",
+            "hash": "#not a comment",
+            "separator": "x\u2028y\x0cz",
+            "inner key": "v",
+        }
+        entries = {"labels": "l.csv", "predictions": "p.csv", "favourable_label": "1", "band": "strict"}
+        entries.update({f"provenance.{key}": value for key, value in provenance.items()})
+        write_manifest(tmp_path / "m.txt", entries)
+        assert load_manifest(tmp_path / "m.txt").provenance == provenance
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("", "v"),
+            ("provenance.x", ""),
+            ("provenance.x", " padded "),
+            ("band", " strict"),
+            (" provenance.x", "v"),
+            ("provenance.x", "\u2028v"),
+            ("provenance.x", "a\nseed=9"),
+            ("provenance.x", "a\rseed=9"),
+            ("provenance.a\nb", "v"),
+            ("provenance.a=b", "v"),
+            ("#provenance.x", "v"),
+        ],
+    )
+    def test_write_refuses_entries_that_would_read_back_changed(self, tmp_path, key, value):
+        entries = {"labels": "l.csv", "predictions": "p.csv", "favourable_label": "1", "band": "strict"}
+        entries[key] = value
+        with pytest.raises(ValidationError):
+            write_manifest(tmp_path / "m.txt", entries)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPredictionWriter:
     def test_round_trip_preserves_everything(self, tmp_path):
@@ -394,7 +430,7 @@ class TestPredictionWriter:
         loaded = load_predictions(tmp_path / "preds.csv", loaded_labels, value_map)
         assert [r.run_id for r in loaded] == [r.run_id for r in runs]
         for original, copy in zip(runs, loaded):
-            assert copy.preds_validation.values == original.preds_validation.values
+            assert copy.preds_validation.values.tolist() == original.preds_validation.values.tolist()
             assert copy.utility == original.utility
 
     def test_which_is_validated(self, tmp_path):

@@ -13,12 +13,19 @@ from multimax.core import ExactRatio, LabelVector
 from multimax.errors import AnalysisError
 from multimax.fairness import ambiguity, discrepancy, unique_vector_counts
 from multimax.profiles import (
-    DEFAULT_STYLE,
+    BAND_PALETTE,
+    CELL_PX,
+    DASH_PATTERNS,
+    FAVOURABLE_SHADE,
+    MAX_WIDTH,
+    UNFAVOURABLE_SHADE,
     FoldPanelData,
-    ProfileStyle,
     _mix_towards_white,
+    band_colour,
+    band_dash,
     fairness_profile,
     multiplicity_panel,
+    prediction_fill,
     stability_profile,
 )
 
@@ -41,34 +48,28 @@ def cell_fills(svg: str, cell_px: int = 14) -> list[tuple[float, float, str]]:
 
 class TestStyle:
     def test_defaults_are_valid(self):
-        assert DEFAULT_STYLE.band_colour(0) == DEFAULT_STYLE.band_palette[0]
+        assert band_colour(0) == BAND_PALETTE[0]
+        assert all(re.fullmatch(r"#[0-9a-f]{6}", colour) for colour in BAND_PALETTE)
+        # the two outcomes must stay far apart to survive printing
+        assert FAVOURABLE_SHADE - UNFAVOURABLE_SHADE >= 0.3
+        assert CELL_PX == 14
 
     def test_palette_cycles_then_dashes(self):
-        n = len(DEFAULT_STYLE.band_palette)
-        assert DEFAULT_STYLE.band_colour(n + 2) == DEFAULT_STYLE.band_palette[2]
-        assert DEFAULT_STYLE.band_dash(2) == ""
-        assert DEFAULT_STYLE.band_dash(n) == DEFAULT_STYLE.dash_patterns[1]
+        n = len(BAND_PALETTE)
+        assert band_colour(n + 2) == BAND_PALETTE[2]
+        assert band_dash(2) == ""
+        assert band_dash(n) == DASH_PATTERNS[1]
 
     def test_prediction_fills_differ(self):
-        fav = DEFAULT_STYLE.prediction_fill(0, True)
-        unf = DEFAULT_STYLE.prediction_fill(0, False)
+        fav = prediction_fill(0, True)
+        unf = prediction_fill(0, False)
         assert fav != unf
+        assert fav == _mix_towards_white(BAND_PALETTE[0], FAVOURABLE_SHADE)
+        assert unf == _mix_towards_white(BAND_PALETTE[0], UNFAVOURABLE_SHADE)
 
     def test_mix_towards_white(self):
         assert _mix_towards_white("#000000", 0.0) == "#ffffff"
         assert _mix_towards_white("#123456", 1.0) == "#123456"
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="too close"):
-            ProfileStyle(favourable_shade=0.5, unfavourable_shade=0.4)
-        with pytest.raises(ValueError, match="colour"):
-            ProfileStyle(band_palette=("blue",))
-        with pytest.raises(ValueError):
-            ProfileStyle(band_palette=())
-        with pytest.raises(ValueError):
-            ProfileStyle(cell_px=2)
-        with pytest.raises(ValueError):
-            ProfileStyle(max_width=100)
 
 
 class TestStabilityProfile:
@@ -163,8 +164,8 @@ class TestFairnessProfile:
         bands, runs = self._bands_and_runs()
         summary = fairness_profile(bands, runs, variant="summary")
         cells = cell_fills(summary.svg)
-        light = DEFAULT_STYLE.prediction_fill(0, True)
-        dark = DEFAULT_STYLE.prediction_fill(0, False)
+        light = prediction_fill(0, True)
+        dark = prediction_fill(0, False)
         first_band_rows = 2
         xs = sorted({x for x, _, _ in cells})
         for x in xs:
@@ -235,8 +236,8 @@ class TestFairnessProfile:
         match = re.search(r'viewBox="0 0 ([\d.]+) [\d.]+" width="([\d.]+)"', header)
         assert match is not None
         layout_w, display_w = float(match.group(1)), float(match.group(2))
-        assert layout_w > DEFAULT_STYLE.max_width
-        assert display_w <= DEFAULT_STYLE.max_width
+        assert layout_w > MAX_WIDTH
+        assert display_w <= MAX_WIDTH
 
 
 class TestMultiplicityPanel:
@@ -290,7 +291,7 @@ class TestMultiplicityPanel:
         assert rendered.sidecar["markers"] == {band.label: "violin"}
         rects = re.findall(r'<rect [^>]*width="([\d.]+)" height="[\d.]+" fill="([^"]+)"', rendered.svg)
         # violin bins bottom-up (0, 1/4, 2/4), then the run-count bar
-        widths = [float(w) for w, fill in rects if fill == DEFAULT_STYLE.band_colour(0)][:-1]
+        widths = [float(w) for w, fill in rects if fill == band_colour(0)][:-1]
         assert [w / max(widths) for w in widths] == pytest.approx([1 / 3, 1, 2 / 3], abs=0.01)
 
     def test_fold_sidecar_numbers(self):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -227,3 +229,21 @@ class TestAuditFiles:
         _, written = audit(manifest_path, tmp_path / "out")
         sidecar = written["fairness_profile.sidecar"].read_text()
         assert sidecar == emit_json(json.loads(sidecar))
+
+    def test_failed_rename_keeps_the_old_report(self, tmp_path, monkeypatch):
+        manifest_path = write_fixture_inputs(tmp_path)
+        out = tmp_path / "out"
+        _, written = audit(manifest_path, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        (tmp_path / "plain.txt").write_text("x", encoding="utf-8")
+        assert stat.S_IMODE(written["report"].stat().st_mode) == stat.S_IMODE(
+            (tmp_path / "plain.txt").stat().st_mode
+        )
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            audit(manifest_path, out, seed_override=99)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before

@@ -53,14 +53,14 @@ class TestDatasets:
         first = generate_dataset(spec, n_per_class=25, seed=4)
         again = generate_dataset(spec, n_per_class=25, seed=4)
         assert first.points.points == again.points.points
-        assert first.labels.values == again.labels.values
+        assert first.labels.values.tolist() == again.labels.values.tolist()
         other = generate_dataset(spec, n_per_class=25, seed=5)
         assert first.points.points != other.points.points
 
     def test_ids_and_labels(self):
         data = generate_dataset(DatasetSpec(), n_per_class=3, seed=0)
         assert data.index.ids == ("f000", "f001", "f002", "u000", "u001", "u002")
-        assert data.labels.values == (1, 1, 1, 0, 0, 0)
+        assert data.labels.values.tolist() == [1, 1, 1, 0, 0, 0]
 
     def test_points_stay_inside_the_box(self):
         spec = DatasetSpec(mode="halfplanes", margin=1.0)
