@@ -28,12 +28,16 @@ from .errors import (
     ValidationError,
 )
 from .fairness import (
+    BandAnalysis,
+    BandMatrix,
     DiscrepancyStats,
     DisputableSet,
     FairEnsembleReport,
     FairnessVerdict,
     ambiguity,
     ambiguity_by_group,
+    analyse_band,
+    band_matrix,
     discrepancy,
     disputable_instances,
     ensemble_predictions,
@@ -42,14 +46,8 @@ from .fairness import (
     unique_vector_counts,
 )
 from .ingest import AuditManifest, load_manifest, load_predictions, read_labels
-from .profiles import (
-    FoldPanelData,
-    RenderedSvg,
-    fairness_profile,
-    multiplicity_panel,
-    stability_profile,
-)
-from .report import AuditOutcome, audit, compare_policies, emit_json, run_audit
+from .profiles import RenderedSvg, fairness_profile, multiplicity_panel, stability_profile
+from .report import AuditOutcome, audit, compare_policies, emit_json, load_inputs, run_audit
 
 __version__ = "0.1.0"
 
@@ -58,6 +56,8 @@ __all__ = [
     "AnalysisError",
     "AuditManifest",
     "AuditOutcome",
+    "BandAnalysis",
+    "BandMatrix",
     "Banding",
     "BandingPolicy",
     "ConfusionMatrix",
@@ -66,7 +66,6 @@ __all__ = [
     "ExactRatio",
     "FairEnsembleReport",
     "FairnessVerdict",
-    "FoldPanelData",
     "InstanceIndex",
     "InvariantViolation",
     "LabelVector",
@@ -79,7 +78,9 @@ __all__ = [
     "ValidationError",
     "ambiguity",
     "ambiguity_by_group",
+    "analyse_band",
     "audit",
+    "band_matrix",
     "compare_policies",
     "confusion_matrix",
     "discrepancy",
@@ -89,6 +90,7 @@ __all__ = [
     "fair_ensemble",
     "fairness_profile",
     "is_individually_fair",
+    "load_inputs",
     "load_manifest",
     "load_predictions",
     "metric",

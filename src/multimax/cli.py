@@ -2,7 +2,9 @@
 
 Subcommands: audit, profile, fair-model, zoo, compare.  Exit codes are part
 of the contract: 0 on success, 2 when inputs fail validation (files,
-manifest, arguments), 3 when an analysis cannot be computed.  The
+manifest, arguments), 3 when an analysis cannot be computed.  Every
+subcommand that reads a manifest validates all of its input files, but runs
+only the stages whose results it prints, so it exits 3 only for those.  The
 MULTIMAX_SEED environment variable overrides the manifest seed everywhere,
 so a recorded report can be reproduced without editing files.
 """
@@ -17,7 +19,7 @@ import sys
 from itertools import repeat
 from pathlib import Path
 
-from .banding import BandingPolicy
+from .banding import BandingPolicy, partition
 from .core import PredictionVector
 from .errors import (
     AlignmentError,
@@ -27,9 +29,10 @@ from .errors import (
     UndefinedMetricError,
     ValidationError,
 )
-from .fairness import ensemble_predictions
+from .fairness import band_matrix, disputable_instances, ensemble_predictions, fair_ensemble
 from .ingest import (
     PREDICTION_HEADER,
+    AuditManifest,
     _check_written_ids,
     load_manifest,
     write_labels_csv,
@@ -37,7 +40,17 @@ from .ingest import (
     write_predictions_csv,
     write_text_atomic,
 )
-from .report import audit, compare_policies, emit_json, ratio_payload, run_audit
+from .profiles import multiplicity_panel
+from .report import (
+    analyse_bands,
+    audit,
+    compare_policies,
+    default_comparison_policies,
+    emit_json,
+    load_inputs,
+    ratio_payload,
+    top_band_profile,
+)
 from .zoo import SCENARIOS, build_scenario
 
 SEED_ENV = "MULTIMAX_SEED"
@@ -57,6 +70,13 @@ def _env_seed() -> int | None:
         raise ValidationError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
+def _load(args: argparse.Namespace) -> tuple[AuditManifest, int]:
+    """The manifest and the effective seed; a bad MULTIMAX_SEED fails here."""
+    manifest = load_manifest(Path(args.manifest))
+    seed = _env_seed()
+    return manifest, manifest.seed if seed is None else seed
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     outcome, written = audit(args.manifest, args.out, seed_override=_env_seed())
     top = outcome.analyses[0]
@@ -72,14 +92,18 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    manifest = load_manifest(Path(args.manifest))
-    outcome = run_audit(manifest, seed_override=_env_seed())
-    render = outcome.renders[args.kind]
+    manifest, seed = _load(args)
+    labels, runs, grouping = load_inputs(manifest)
+    banding = partition(runs, manifest.policy)
+    if args.kind == "multiplicity_panel":
+        render = multiplicity_panel(analyse_bands(manifest, seed, banding, labels, runs, grouping))
+    else:
+        top = [band_matrix(band, runs) for band in banding.bands[: manifest.profile_top_n]]
+        render = top_band_profile(args.kind, manifest, seed, top)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out, render.svg)
     sidecar = out.parent / (out.stem + ".sidecar.json")
-    write_text_atomic(sidecar, emit_json(render.sidecar))
+    write_text_atomic({out: render.svg, sidecar: emit_json(render.sidecar)})
     print(f"wrote {out}")
     print(f"wrote {sidecar}")
     return EXIT_OK
@@ -96,35 +120,38 @@ def _ensemble_csv(preds: PredictionVector) -> str:
 
 
 def _cmd_fair_model(args: argparse.Namespace) -> int:
-    manifest = load_manifest(Path(args.manifest))
-    outcome = run_audit(manifest, seed_override=_env_seed())
+    manifest, _ = _load(args)
+    labels, runs, _ = load_inputs(manifest)
+    banding = partition(runs, manifest.policy)
     wanted = args.band
-    for analysis in outcome.analyses:
-        if analysis.band.label == wanted:
+    for band in banding:
+        if band.label == wanted:
             break
     else:
-        known = ", ".join(a.band.label for a in outcome.analyses)
+        known = ", ".join(b.label for b in banding)
         raise ValidationError(f"no band labelled {wanted!r}; bands: {known}")
-    ensemble = analysis.ensemble
-    fair_fairness = ensemble_predictions(analysis.band, outcome.runs, which="fairness")
-    files = {"fair_model_validation.csv": _ensemble_csv(ensemble.preds)}
-    if fair_fairness.index != ensemble.preds.index:
-        files["fair_model_fairness.csv"] = _ensemble_csv(fair_fairness)
+    bm = band_matrix(band, runs)
+    ensemble = fair_ensemble(bm, labels)
+    fair_fairness = ensemble_predictions(bm, "fairness")
     payload = {
         "kind": "fair_model",
-        "band": analysis.band.label,
-        "run_count": analysis.band.run_count,
+        "band": band.label,
+        "run_count": band.run_count,
         "accuracy": ratio_payload(ensemble.accuracy),
         "recall": ratio_payload(ensemble.recall),
         "specificity": ratio_payload(ensemble.specificity),
-        "resolved_disputes": analysis.disputable.size,
+        "resolved_disputes": disputable_instances(bm).size,
     }
     out_dir = Path(args.out)
+    files = {
+        out_dir / "fair_model.json": emit_json(payload),
+        out_dir / "fair_model_validation.csv": _ensemble_csv(ensemble.preds),
+    }
+    if fair_fairness.index != ensemble.preds.index:
+        files[out_dir / "fair_model_fairness.csv"] = _ensemble_csv(fair_fairness)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_text_atomic(out_dir / "fair_model.json", emit_json(payload))
-    for name, text in files.items():
-        write_text_atomic(out_dir / name, text)
-    print(f"band {analysis.band.label}: accuracy {ensemble.accuracy}, recall {ensemble.recall}, specificity {ensemble.specificity}")
+    write_text_atomic(files)
+    print(f"band {band.label}: accuracy {ensemble.accuracy}, recall {ensemble.recall}, specificity {ensemble.specificity}")
     print(f"wrote {out_dir / 'fair_model.json'}")
     return EXIT_OK
 
@@ -169,16 +196,16 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    manifest = load_manifest(Path(args.manifest))
-    outcome = run_audit(manifest, seed_override=_env_seed())
+    manifest, _ = _load(args)
+    _, runs, _ = load_inputs(manifest)
     if args.policies:
         try:
             policies = tuple(BandingPolicy.parse(text) for text in args.policies)
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
-        rows = compare_policies(outcome.runs, policies)
     else:
-        rows = outcome.comparison
+        policies = default_comparison_policies(manifest.policy)
+    rows = compare_policies(runs, policies)
     header = ("policy", "bands", "top_band", "top_runs", "top_ambiguity")
     table = [header]
     for row in rows:
@@ -210,7 +237,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         }
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_text_atomic(out, emit_json(payload))
+        write_text_atomic({out: emit_json(payload)})
         print(f"wrote {out}")
     return EXIT_OK
 

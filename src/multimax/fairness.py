@@ -7,6 +7,11 @@ justified.  This module measures that disagreement (ambiguity, pairwise
 discrepancy), finds the disputable instances, and builds the fair ensemble
 that grants the favourable outcome whenever any band member would.
 
+Every analysis reads a BandMatrix: the band's members stacked as one 0/1
+row each, built once per band by band_matrix.  Ambiguity and the disputed
+instances are column reductions of it, discrepancy and the ensemble's
+per-member deltas row reductions.
+
 All rates are exact ratios over the fairness index; nothing is estimated
 except where run pairs are explicitly capped (and then the retained runs are
 chosen by a deterministic seeded hash, recorded in the result).
@@ -17,12 +22,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .banding import PerformanceBand
+from .banding import PerformanceBand, refine_lexicographic
 from .core import (
+    ConfusionMatrix,
     ExactRatio,
     InstanceIndex,
     LabelVector,
@@ -40,11 +47,10 @@ def member_matrix(
 ) -> tuple[tuple[str, ...], np.ndarray, InstanceIndex]:
     """Member ids (sorted), their stacked prediction rows, and the shared index.
 
-    The workhorse behind every band-level analysis and the rendered
-    profiles: one uint8 row per member, aligned to the shared index.
+    One uint8 row per member, aligned to the shared index; band_matrix calls
+    it once per prediction set.
     """
-    if which not in ("fairness", "validation"):
-        raise ValueError(f"unknown prediction set {which!r}")
+    _check_prediction_set(which)
     lookup = runs_by_id(runs)
     members = []
     for run_id in band.run_ids:
@@ -60,6 +66,43 @@ def member_matrix(
             raise AlignmentError(f"run {run.run_id!r} uses a different {which} index")
     matrix = np.vstack([vec.values for vec in vectors])
     return tuple(run.run_id for run in members), matrix, index
+
+
+def _check_prediction_set(which: str) -> None:
+    if which not in ("fairness", "validation"):
+        raise ValueError(f"unknown prediction set {which!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class BandMatrix:
+    """One band's run x instance 0/1 matrices, on the fairness and validation sets.
+
+    Row r of either matrix holds the predictions of member_ids[r]; member ids
+    are sorted.
+    """
+
+    band: PerformanceBand
+    member_ids: tuple[str, ...]
+    fairness: np.ndarray
+    fairness_index: InstanceIndex
+    validation: np.ndarray
+    validation_index: InstanceIndex
+
+    @property
+    def label(self) -> str:
+        return self.band.label
+
+    @cached_property
+    def disputed(self) -> np.ndarray:
+        """Fairness columns on which at least two members disagree."""
+        return (self.fairness != self.fairness[0]).any(axis=0)
+
+
+def band_matrix(band: PerformanceBand, runs: Sequence[ModelRun]) -> BandMatrix:
+    """Stack the band's members once for every analysis of the band."""
+    member_ids, fairness, fairness_index = member_matrix(band, runs, "fairness")
+    _, validation, validation_index = member_matrix(band, runs, "validation")
+    return BandMatrix(band, member_ids, fairness, fairness_index, validation, validation_index)
 
 
 @dataclass(frozen=True)
@@ -78,25 +121,21 @@ class DisputableSet:
         return instance_id in self.per_instance_vote
 
 
-def disputable_instances(band: PerformanceBand, runs: Sequence[ModelRun]) -> DisputableSet:
+def disputable_instances(bm: BandMatrix) -> DisputableSet:
     """Fairness instances where at least two band members disagree, in index order."""
-    member_ids, matrix, index = member_matrix(band, runs, which="fairness")
-    disputed = (matrix != matrix[0]).any(axis=0)
-    ones = matrix.sum(axis=0, dtype=np.int64)
+    ones = bm.fairness.sum(axis=0, dtype=np.int64)
     ids = []
     votes: dict[str, tuple[int, int]] = {}
-    for pos, instance_id in enumerate(index.ids):
-        if disputed[pos]:
-            ids.append(instance_id)
-            votes[instance_id] = (int(ones[pos]), len(member_ids) - int(ones[pos]))
-    return DisputableSet(band_label=band.label, instance_ids=tuple(ids), per_instance_vote=votes)
+    for pos in np.flatnonzero(bm.disputed).tolist():
+        instance_id = bm.fairness_index.ids[pos]
+        ids.append(instance_id)
+        votes[instance_id] = (int(ones[pos]), len(bm.member_ids) - int(ones[pos]))
+    return DisputableSet(band_label=bm.label, instance_ids=tuple(ids), per_instance_vote=votes)
 
 
-def ambiguity(band: PerformanceBand, runs: Sequence[ModelRun]) -> ExactRatio:
+def ambiguity(bm: BandMatrix) -> ExactRatio:
     """Disputable fraction of the fairness index, as an exact ratio."""
-    _, matrix, index = member_matrix(band, runs, which="fairness")
-    disputed = (matrix != matrix[0]).any(axis=0)
-    return ExactRatio(int(np.count_nonzero(disputed)), index.size)
+    return ExactRatio(int(np.count_nonzero(bm.disputed)), bm.fairness_index.size)
 
 
 @dataclass(frozen=True)
@@ -110,29 +149,25 @@ class FairnessVerdict:
     witness_instance: str | None = None
 
 
-def is_individually_fair(
-    run_id: str, band: PerformanceBand, runs: Sequence[ModelRun]
-) -> FairnessVerdict:
+def is_individually_fair(run_id: str, bm: BandMatrix) -> FairnessVerdict:
     """Check one band member against all the others.
 
     The run is individually fair when no other member contradicts it on any
     fairness instance; otherwise the verdict carries the first disagreeing
     (instance, run) pair in index order as a witness.
     """
-    if run_id not in band.run_ids:
-        raise AnalysisError(f"run {run_id!r} is not a member of band {band.label!r}")
-    member_ids, matrix, index = member_matrix(band, runs, which="fairness")
-    differs = matrix != matrix[member_ids.index(run_id)]
-    disputed = differs.any(axis=0)
-    if not disputed.any():
-        return FairnessVerdict(run_id=run_id, band_label=band.label, fair=True)
-    pos = int(np.argmax(disputed))
+    if run_id not in bm.member_ids:
+        raise AnalysisError(f"run {run_id!r} is not a member of band {bm.label!r}")
+    if not bm.disputed.any():
+        return FairnessVerdict(run_id=run_id, band_label=bm.label, fair=True)
+    pos = int(np.argmax(bm.disputed))
+    column = bm.fairness[:, pos]
     return FairnessVerdict(
         run_id=run_id,
-        band_label=band.label,
+        band_label=bm.label,
         fair=False,
-        witness_run=member_ids[int(np.argmax(differs[:, pos]))],
-        witness_instance=index.ids[pos],
+        witness_run=bm.member_ids[int(np.argmax(column != column[bm.member_ids.index(run_id)]))],
+        witness_instance=bm.fairness_index.ids[pos],
     )
 
 
@@ -190,38 +225,36 @@ def _hash_rank(seed: int, item: str) -> tuple[str, str]:
     return (hashlib.sha256(f"{seed}:{item}".encode()).hexdigest(), item)
 
 
-def discrepancy(
-    band: PerformanceBand, runs: Sequence[ModelRun], cap: int = 500, seed: int = 0
-) -> DiscrepancyStats:
+def discrepancy(bm: BandMatrix, cap: int = 500, seed: int = 0) -> DiscrepancyStats:
     """Disagreement counts over every pair among up to cap retained runs."""
     if cap < 2:
         raise AnalysisError(f"discrepancy cap must be at least 2, got {cap}")
-    member_ids, matrix, index = member_matrix(band, runs, which="fairness")
+    member_ids = bm.member_ids
     kept = set(member_ids)
     if len(member_ids) > cap:
         kept = set(sorted(member_ids, key=lambda rid: _hash_rank(seed, rid))[:cap])
     rows = [pos for pos, run_id in enumerate(member_ids) if run_id in kept]
-    x = matrix[rows]
+    x = bm.fairness[rows]
     per_pair = np.concatenate([(x[i + 1 :] != x[i]).sum(axis=1) for i in range(len(rows))])
     histogram = np.bincount(per_pair).tolist()
     return DiscrepancyStats(
-        band_label=band.label,
+        band_label=bm.label,
         total_runs=len(member_ids),
         cap=cap,
         seed=seed,
         run_ids=tuple(member_ids[pos] for pos in rows),
-        instance_count=index.size,
+        instance_count=bm.fairness_index.size,
         pair_counts={k: c for k, c in enumerate(histogram) if c},
         single_run=len(member_ids) == 1,
     )
 
 
-def ensemble_predictions(
-    band: PerformanceBand, runs: Sequence[ModelRun], which: str = "fairness"
-) -> PredictionVector:
+def ensemble_predictions(bm: BandMatrix, which: str = "fairness") -> PredictionVector:
     """Pointwise maximum of the band: favourable wherever any member says so."""
-    _, matrix, index = member_matrix(band, runs, which=which)
-    return PredictionVector(index=index, values=matrix.max(axis=0))
+    _check_prediction_set(which)
+    return PredictionVector(
+        index=getattr(bm, f"{which}_index"), values=getattr(bm, which).max(axis=0)
+    )
 
 
 @dataclass(frozen=True)
@@ -245,25 +278,25 @@ class FairEnsembleReport:
     member_deltas: dict[str, MetricDeltas]
 
 
-def fair_ensemble(
-    band: PerformanceBand, runs: Sequence[ModelRun], labels: LabelVector
-) -> FairEnsembleReport:
+def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
     """Build the band's max-ensemble and measure it on the validation labels.
 
     The ensemble predicts the favourable class for an instance exactly when
     some band member does, which removes every within-band dispute.  Its
     recall can only rise and its specificity can only fall relative to each
-    member; that is enforced as a postcondition, not assumed.
+    member; that is enforced as a postcondition, not assumed.  Each member's
+    true and false positives are row sums of the validation matrix.
     """
-    preds = ensemble_predictions(band, runs, which="validation")
+    preds = ensemble_predictions(bm, "validation")
     if labels.index != preds.index:
         raise AlignmentError("labels do not use the band's validation index")
     star = confusion_matrix(preds, labels)
     star_metrics = {kind: metric(star, kind) for kind in ("accuracy", "recall", "specificity")}
-    lookup = runs_by_id(runs)
+    tps = (bm.validation & labels.values).sum(axis=1, dtype=np.int64).tolist()
+    fps = (bm.validation > labels.values).sum(axis=1, dtype=np.int64).tolist()
     deltas: dict[str, MetricDeltas] = {}
-    for run_id in band.run_ids:
-        cm = confusion_matrix(lookup[run_id].preds_validation, labels)
+    for run_id, tp, fp in zip(bm.member_ids, tps, fps):
+        cm = ConfusionMatrix(tp=tp, fn=labels.positives - tp, fp=fp, tn=labels.negatives - fp)
         delta = MetricDeltas(
             accuracy=star_metrics["accuracy"].as_fraction() - metric(cm, "accuracy").as_fraction(),
             recall=star_metrics["recall"].as_fraction() - metric(cm, "recall").as_fraction(),
@@ -276,7 +309,7 @@ def fair_ensemble(
             )
         deltas[run_id] = delta
     return FairEnsembleReport(
-        band_label=band.label,
+        band_label=bm.label,
         preds=preds,
         accuracy=star_metrics["accuracy"],
         recall=star_metrics["recall"],
@@ -285,50 +318,87 @@ def fair_ensemble(
     )
 
 
-def prediction_vector_groups(
-    band: PerformanceBand, runs: Sequence[ModelRun]
-) -> tuple[tuple[str, ...], ...]:
+def prediction_vector_groups(bm: BandMatrix) -> tuple[tuple[str, ...], ...]:
     """Band members grouped by identical fairness prediction vectors.
 
     Groups come back largest first (ties by first appearance among the sorted
     member ids); each group lists its member run ids sorted.
     """
-    member_ids, matrix, _ = member_matrix(band, runs, which="fairness")
+    member_ids = bm.member_ids
     groups: dict[bytes, list[str]] = {}
-    for run_id, row in zip(member_ids, matrix):
+    for run_id, row in zip(member_ids, bm.fairness):
         groups.setdefault(row.tobytes(), []).append(run_id)
     ordered = sorted(groups.values(), key=lambda g: (-len(g), member_ids.index(g[0])))
     return tuple(tuple(sorted(g)) for g in ordered)
 
 
-def unique_vector_counts(band: PerformanceBand, runs: Sequence[ModelRun]) -> tuple[int, ...]:
+def unique_vector_counts(bm: BandMatrix) -> tuple[int, ...]:
     """Sizes of the identical-prediction groups, largest first."""
-    return tuple(len(g) for g in prediction_vector_groups(band, runs))
+    return tuple(len(g) for g in prediction_vector_groups(bm))
 
 
-def ambiguity_by_group(
-    band: PerformanceBand, runs: Sequence[ModelRun], grouping: Mapping[str, str]
-) -> dict[str, ExactRatio]:
+def ambiguity_by_group(bm: BandMatrix, grouping: Mapping[str, str]) -> dict[str, ExactRatio]:
     """Disputable fraction within each instance group, keyed by group name.
 
     grouping must cover every fairness instance (extra ids are ignored, a
     missing one is an error).  Group names come back sorted.
     """
-    _, matrix, index = member_matrix(band, runs, which="fairness")
-    missing = [instance_id for instance_id in index.ids if instance_id not in grouping]
+    ids = bm.fairness_index.ids
+    missing = [instance_id for instance_id in ids if instance_id not in grouping]
     if missing:
         raise AnalysisError(
             f"group map does not cover instance {missing[0]!r} "
             f"({len(missing)} uncovered in total)"
         )
-    disputed = (matrix != matrix[0]).any(axis=0)
     totals: dict[str, int] = {}
     hits: dict[str, int] = {}
-    for pos, instance_id in enumerate(index.ids):
+    for instance_id, disputed in zip(ids, bm.disputed.tolist()):
         group = grouping[instance_id]
         totals[group] = totals.get(group, 0) + 1
-        if disputed[pos]:
+        if disputed:
             hits[group] = hits.get(group, 0) + 1
     return {
         group: ExactRatio(hits.get(group, 0), totals[group]) for group in sorted(totals)
     }
+
+
+@dataclass(frozen=True)
+class BandAnalysis:
+    """Everything computed about one band, in native types."""
+
+    matrix: BandMatrix
+    unique_counts: tuple[int, ...]
+    disputable: DisputableSet
+    ambiguity: ExactRatio
+    discrepancy: DiscrepancyStats
+    ensemble: FairEnsembleReport
+    group_ambiguity: dict[str, ExactRatio] | None
+    refinement: tuple[PerformanceBand, ...] | None
+
+    @property
+    def band(self) -> PerformanceBand:
+        return self.matrix.band
+
+
+def analyse_band(
+    band: PerformanceBand,
+    runs: Sequence[ModelRun],
+    labels: LabelVector,
+    tie_break: Sequence[str] = (),
+    cap: int = 500,
+    seed: int = 0,
+    grouping: Mapping[str, str] | None = None,
+) -> BandAnalysis:
+    """Every analysis of one band, from one matrix; tie_break refines it first."""
+    refinement = refine_lexicographic(band, runs, labels, tie_break) if tie_break else None
+    bm = band_matrix(band, runs)
+    return BandAnalysis(
+        matrix=bm,
+        unique_counts=unique_vector_counts(bm),
+        disputable=disputable_instances(bm),
+        ambiguity=ambiguity(bm),
+        discrepancy=discrepancy(bm, cap=cap, seed=seed),
+        ensemble=fair_ensemble(bm, labels),
+        group_ambiguity=ambiguity_by_group(bm, grouping) if grouping else None,
+        refinement=refinement,
+    )

@@ -542,21 +542,30 @@ def write_manifest(path: Path, entries: Mapping[str, str]) -> None:
                 f"manifest entry {key!r}={value!r} is empty, padded or holds a line break"
             )
     lines = [f"{key}={value}" for key, value in entries.items()]
-    write_text_atomic(Path(path), "\n".join(lines) + "\n")
+    write_text_atomic({Path(path): "\n".join(lines) + "\n"})
 
 
-def write_text_atomic(path: Path, text: str) -> None:
-    """Write UTF-8 text to path through a temporary file in the same directory.
+def write_text_atomic(files: Mapping[Path, str]) -> None:
+    """Write each {path: text} entry as UTF-8 through a temporary file beside it.
 
-    The temporary file is renamed over path only once it is complete, so
-    path holds either its old bytes or all of the new ones; on any failure
-    the temporary file is removed and the old file is left as it was.
+    Every temporary file is complete before the first is renamed over its
+    path, and any failure before the renames removes them all, so either no
+    path changes or every one is renamed into place.  A failure between two
+    renames (a refused rename, a crash) leaves the earlier paths new and the
+    later ones old; the temporary files left are removed.
     """
-    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    temps: list[tuple[Path, Path]] = []
     try:
-        with open(tmp, "x", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        for path, text in files.items():
+            path = Path(path)
+            tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+            handle = open(tmp, "x", encoding="utf-8", newline="")
+            temps.append((tmp, path))
+            with handle:
+                handle.write(text)
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _ in temps:
+            tmp.unlink(missing_ok=True)
         raise

@@ -5,8 +5,8 @@ Three renderers:
   stability_profile    per band, a pyramid of identical-prediction groups
   fairness_profile     per band and instance, every member's prediction as a
                        coloured cell (faithful row order or sorted summary)
-  multiplicity_panel   ambiguity curves, discrepancy violins and run counts
-                       across folds, sharing one band axis
+  multiplicity_panel   an ambiguity curve, discrepancy violins and run counts,
+                       sharing one band axis
 
 Rendering is pure string building over already-computed numbers: the same
 inputs give byte-identical SVG, so outputs are diffable and golden-file
@@ -16,22 +16,14 @@ holding the plotted numbers, because pixels are not an API.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .banding import PerformanceBand
-from .core import ExactRatio, ModelRun
 from .errors import AlignmentError, AnalysisError
-from .fairness import (
-    DiscrepancyStats,
-    _hash_rank,
-    member_matrix,
-    prediction_vector_groups,
-)
+from .fairness import BandAnalysis, BandMatrix, _hash_rank, prediction_vector_groups
 
 # colour-blind-friendly cycle; dashes disambiguate once colours repeat
 BAND_PALETTE = (
@@ -160,25 +152,17 @@ class RenderedSvg:
     sidecar: dict
 
 
-def stability_profile(
-    bands: Sequence[PerformanceBand],
-    runs: Sequence[ModelRun],
-    top_n: int = 8,
-) -> RenderedSvg:
+def stability_profile(matrices: Sequence[BandMatrix]) -> RenderedSvg:
     """One pyramid per band: its identical fairness predictions, largest at the base.
 
     Segment widths share a single per-run scale across bands, so a band of
     36 runs visibly dwarfs a band of 3 and equal-width segments mean equal
     multiplicity wherever they appear.
     """
-    if top_n < 1:
-        raise AnalysisError("top_n must be at least 1")
-    shown = list(bands[:top_n])
-    if not shown:
+    if not matrices:
         raise AnalysisError("no bands to draw")
-    counts_per_band = [
-        [len(group) for group in prediction_vector_groups(band, runs)] for band in shown
-    ]
+    shown = [bm.band for bm in matrices]
+    counts_per_band = [[len(group) for group in prediction_vector_groups(bm)] for bm in matrices]
     max_count = max(c for counts in counts_per_band for c in counts)
     max_segments = max(len(counts) for counts in counts_per_band)
 
@@ -257,8 +241,7 @@ def _select_columns(
 
 
 def fairness_profile(
-    bands: Sequence[PerformanceBand],
-    runs: Sequence[ModelRun],
+    matrices: Sequence[BandMatrix],
     variant: str = "summary",
     max_instances: int = 250,
     seed: int = 0,
@@ -279,25 +262,15 @@ def fairness_profile(
         raise AnalysisError(f"unknown fairness profile variant {variant!r}")
     if max_instances < 1:
         raise AnalysisError("max_instances must be at least 1")
-    shown = list(bands)
-    if not shown:
+    if not matrices:
         raise AnalysisError("no bands to draw")
-    matrices = []
-    index = None
-    for band in shown:
-        member_ids, matrix, band_index = member_matrix(band, runs, which="fairness")
-        if index is None:
-            index = band_index
-        elif band_index != index:
-            raise AlignmentError(f"band {band.label!r} uses a different fairness index")
-        matrices.append((band, member_ids, matrix))
-    assert index is not None
-
-    disputable_union: list[str] = []
+    index = matrices[0].fairness_index
     disputed_any = np.zeros(index.size, dtype=bool)
-    for _, _, matrix in matrices:
-        disputed_any |= (matrix != matrix[0]).any(axis=0)
-    disputable_union = [index.ids[pos] for pos in range(index.size) if disputed_any[pos]]
+    for bm in matrices:
+        if bm.fairness_index != index:
+            raise AlignmentError(f"band {bm.label!r} uses a different fairness index")
+        disputed_any |= bm.disputed
+    disputable_union = [index.ids[pos] for pos in np.flatnonzero(disputed_any).tolist()]
 
     columns, sampled = _select_columns(index.ids, disputable_union, max_instances, seed)
     if variant == "summary":
@@ -311,30 +284,30 @@ def fairness_profile(
     band_gap = 8
     margin_left = 140
     margin_top = 48
-    legend_h = (FONT_PX + 6) * (len(shown) + 2)
-    total_rows = sum(len(member_ids) for _, member_ids, _ in matrices)
+    legend_h = (FONT_PX + 6) * (len(matrices) + 2)
+    total_rows = sum(len(bm.member_ids) for bm in matrices)
     width = margin_left + len(columns) * cell + 30
-    height = margin_top + total_rows * cell + band_gap * len(shown) + legend_h + 30
+    height = margin_top + total_rows * cell + band_gap * len(matrices) + legend_h + 30
 
     doc = _SvgDoc()
     title = f"fairness profile ({variant}): member predictions per instance"
     doc.text(20, 24, title, FONT_PX + 3)
     sidecar_bands = []
     y = margin_top
-    for pos, (band, member_ids, matrix) in enumerate(matrices):
-        block = matrix[:, col_pos]
+    for pos, bm in enumerate(matrices):
+        block = bm.fairness[:, col_pos]
         if variant == "summary":
             block = np.sort(block, axis=0)[::-1]
         fills = (prediction_fill(pos, False), prediction_fill(pos, True))
         rows_meta = []
         for r, row in enumerate(block.tolist()):
-            rows_meta.append({"run_id": member_ids[r] if variant == "faithful" else None})
+            rows_meta.append({"run_id": bm.member_ids[r] if variant == "faithful" else None})
             for c, value in enumerate(row):
                 doc.rect(margin_left + c * cell, y + r * cell, cell - 1, cell - 1, fills[value])
         doc.text(
             margin_left - 8,
             y + (block.shape[0] * cell) / 2 + FONT_PX / 2,
-            band.label,
+            bm.label,
             FONT_PX,
             anchor="end",
             fill=band_colour(pos),
@@ -345,8 +318,8 @@ def fairness_profile(
         }
         sidecar_bands.append(
             {
-                "label": band.label,
-                "members": list(member_ids),
+                "label": bm.label,
+                "members": list(bm.member_ids),
                 "rows": rows_meta,
                 "column_counts": counts,
             }
@@ -355,10 +328,10 @@ def fairness_profile(
 
     legend_y = y + FONT_PX + 6
     doc.text(20, legend_y, "bands:", FONT_PX)
-    for pos, (band, _, _) in enumerate(matrices):
+    for pos, bm in enumerate(matrices):
         ly = legend_y + (pos + 1) * (FONT_PX + 6)
         doc.rect(20, ly - FONT_PX + 2, FONT_PX, FONT_PX, band_colour(pos))
-        doc.text(20 + FONT_PX + 6, ly, band.label, FONT_PX)
+        doc.text(20 + FONT_PX + 6, ly, bm.label, FONT_PX)
     note_y = legend_y + (len(matrices) + 1) * (FONT_PX + 6)
     shade_x = 20
     doc.rect(shade_x, note_y - FONT_PX + 2, FONT_PX, FONT_PX, prediction_fill(0, True))
@@ -386,47 +359,18 @@ def fairness_profile(
     return RenderedSvg(svg=doc.render(width, height), sidecar=sidecar)
 
 
-@dataclass(frozen=True)
-class FoldPanelData:
-    """One fold's per-band numbers for the multiplicity panel."""
-
-    fold_id: str
-    ambiguity: Mapping[str, ExactRatio]
-    discrepancy: Mapping[str, DiscrepancyStats]
-    run_counts: Mapping[str, int]
-
-
-def multiplicity_panel(
-    folds: Sequence[FoldPanelData],
-    band_order: Sequence[str],
-) -> RenderedSvg:
+def multiplicity_panel(analyses: Sequence[BandAnalysis]) -> RenderedSvg:
     """Three stacked panels over one band axis: ambiguity, discrepancy, counts.
 
-    Discrepancy pools every fold's pairwise fractions per band into a
-    mirrored histogram; a band whose folds all hold a single run draws an x
-    marker (no pairs exist), and a band whose pairs all agree draws a flat
-    dash at zero.  Run-count bars use a log scale and show each band's
-    maximum across folds; per-fold counts live in the sidecar.
+    Discrepancy draws each band's pairwise fractions as a mirrored
+    histogram; a single-run band draws an x marker (no pairs exist), and a
+    band whose pairs all agree draws a flat dash at zero.  Run-count bars
+    use a log scale.  The sidecar keeps the layout of a one-fold panel: the
+    per-band numbers sit in one fold, "all".
     """
-    band_order = list(band_order)
-    if not folds:
-        raise AnalysisError("no folds to draw")
-    if not band_order:
-        raise AnalysisError("band_order must not be empty")
-    if len(set(band_order)) != len(band_order):
-        raise AnalysisError("band_order must not repeat labels")
-    known = set(band_order)
-    for fold in folds:
-        for mapping_name, mapping in (
-            ("ambiguity", fold.ambiguity),
-            ("discrepancy", fold.discrepancy),
-            ("run_counts", fold.run_counts),
-        ):
-            for label in mapping:
-                if label not in known:
-                    raise AnalysisError(
-                        f"fold {fold.fold_id!r} reports {mapping_name} for unknown band {label!r}"
-                    )
+    if not analyses:
+        raise AnalysisError("no bands to draw")
+    band_order = [a.band.label for a in analyses]
 
     col_w = CELL_PX * 5
     margin_left = 70
@@ -442,13 +386,9 @@ def multiplicity_panel(
     doc = _SvgDoc()
     doc.text(20, 22, "multiplicity panel: ambiguity / discrepancy / run count by band", FONT_PX + 3)
 
-    # panel 1: ambiguity polylines, one per fold
+    # panel 1: the ambiguity polyline
     amb_top = margin_top
-    amb_values = [
-        float(fold.ambiguity[label].as_fraction())
-        for fold in folds
-        for label in fold.ambiguity
-    ]
+    amb_values = [float(a.ambiguity.as_fraction()) for a in analyses]
     amb_max = max(amb_values + [0.0]) or 1.0
     doc.text(margin_left - 10, amb_top + FONT_PX, "ambiguity", FONT_PX, anchor="end")
     doc.line(margin_left, amb_top + panel_h, width - 30, amb_top + panel_h)
@@ -456,51 +396,34 @@ def multiplicity_panel(
     for tick in (0.0, 0.5, 1.0):
         ty = amb_top + panel_h - tick * (panel_h - 14)
         doc.text(margin_left - 6, ty + 3, f"{tick * amb_max * 100:.1f}%", FONT_PX - 2, anchor="end")
-    for fpos, fold in enumerate(folds):
-        pts = []
-        colour = band_colour(fpos)
-        for i, label in enumerate(band_order):
-            if label not in fold.ambiguity:
-                continue
-            value = float(fold.ambiguity[label].as_fraction())
-            pts.append((band_x(i), amb_top + panel_h - (value / amb_max) * (panel_h - 14)))
-        if len(pts) > 1:
-            doc.polyline(pts, colour, dash=band_dash(fpos))
-        for x, yy in pts:
-            doc.circle(x, yy, 2.5, colour)
+    pts = [
+        (band_x(i), amb_top + panel_h - (value / amb_max) * (panel_h - 14))
+        for i, value in enumerate(amb_values)
+    ]
+    if len(pts) > 1:
+        doc.polyline(pts, band_colour(0))
+    for x, yy in pts:
+        doc.circle(x, yy, 2.5, band_colour(0))
 
-    # panel 2: pooled discrepancy violins
+    # panel 2: discrepancy violins
     disc_top = margin_top + panel_h + panel_gap
     doc.text(margin_left - 10, disc_top + FONT_PX, "discrepancy", FONT_PX, anchor="end")
     doc.line(margin_left, disc_top + panel_h, width - 30, disc_top + panel_h)
     doc.line(margin_left, disc_top, margin_left, disc_top + panel_h)
-    pooled: dict[str, list[DiscrepancyStats]] = {}
-    pooled_counts: dict[str, Counter] = {}
-    for fold in folds:
-        for label, stats in fold.discrepancy.items():
-            pooled.setdefault(label, []).append(stats)
-            pooled_counts.setdefault(label, Counter()).update(stats.fraction_counts())
-    pooled_values = {
-        label: np.concatenate(
-            [
-                np.repeat([k / s.instance_count for k in s.pair_counts], list(s.pair_counts.values()))
-                for s in group
-            ]
-        )
-        for label, group in pooled.items()
-    }
-    disc_max = max([float(v.max()) for v in pooled_values.values() if v.size] + [0.0]) or 1.0
+    stats = [a.discrepancy for a in analyses]
+    fractions = [
+        np.repeat([k / s.instance_count for k in s.pair_counts], list(s.pair_counts.values()))
+        for s in stats
+    ]
+    disc_max = max([float(v.max()) for v in fractions if v.size] + [0.0]) or 1.0
     for tick in (0.0, 0.5, 1.0):
         ty = disc_top + panel_h - tick * (panel_h - 14)
         doc.text(margin_left - 6, ty + 3, f"{tick * disc_max * 100:.1f}%", FONT_PX - 2, anchor="end")
     n_bins = 12
     markers: dict[str, str] = {}
-    for i, label in enumerate(band_order):
+    for i, (label, s, values) in enumerate(zip(band_order, stats, fractions)):
         x = band_x(i)
-        if label not in pooled:
-            continue
-        values = pooled_values[label]
-        if not values.size and all(s.single_run for s in pooled[label]):
+        if s.single_run:
             markers[label] = "single-run"
             arm = 5.0
             yy = disc_top + panel_h
@@ -525,21 +448,14 @@ def multiplicity_panel(
     for i, label in enumerate(band_order):
         doc.text(band_x(i), disc_top + panel_h + FONT_PX + 4, label, FONT_PX - 1, anchor="middle")
 
-    # panel 3: run counts (log scale, max across folds)
+    # panel 3: run counts (log scale)
     cnt_top = disc_top + panel_h + panel_gap + FONT_PX + 8
     doc.text(margin_left - 10, cnt_top + FONT_PX, "runs", FONT_PX, anchor="end")
     doc.line(margin_left, cnt_top + panel_h, width - 30, cnt_top + panel_h)
     doc.line(margin_left, cnt_top, margin_left, cnt_top + panel_h)
-    max_counts = {
-        label: max((fold.run_counts.get(label, 0) for fold in folds), default=0)
-        for label in band_order
-    }
-    global_max = max(list(max_counts.values()) + [1])
-    log_cap = float(np.log10(global_max + 1))
-    for i, label in enumerate(band_order):
-        count = max_counts[label]
-        if count == 0:
-            continue
+    counts = [a.band.run_count for a in analyses]
+    log_cap = float(np.log10(max(counts) + 1))
+    for i, count in enumerate(counts):
         h = (float(np.log10(count + 1)) / log_cap) * (panel_h - 18)
         x = band_x(i)
         doc.rect(x - col_w / 4, cnt_top + panel_h - h, col_w / 2, h, band_colour(i))
@@ -551,18 +467,12 @@ def multiplicity_panel(
         "markers": markers,
         "folds": [
             {
-                "fold_id": fold.fold_id,
-                "ambiguity": {label: str(r) for label, r in sorted(fold.ambiguity.items())},
-                "run_counts": {label: fold.run_counts[label] for label in sorted(fold.run_counts)},
-                "pair_counts": {
-                    label: fold.discrepancy[label].pair_count
-                    for label in sorted(fold.discrepancy)
-                },
+                "fold_id": "all",
+                "ambiguity": {a.band.label: str(a.ambiguity) for a in analyses},
+                "run_counts": {a.band.label: a.band.run_count for a in analyses},
+                "pair_counts": {a.band.label: a.discrepancy.pair_count for a in analyses},
             }
-            for fold in folds
         ],
-        "pooled_fraction_counts": {
-            label: dict(pooled_counts[label]) for label in band_order if label in pooled
-        },
+        "pooled_fraction_counts": {a.band.label: a.discrepancy.fraction_counts() for a in analyses},
     }
     return RenderedSvg(svg=doc.render(width, height), sidecar=sidecar)

@@ -1,10 +1,13 @@
-"""Audit orchestration and the versioned JSON report.
+"""Audit stages and the versioned JSON report.
 
-run_audit glues the pipeline together: ingest, band, analyse every band,
-render profiles, and assemble one JSON-ready payload in which every number
-appears both as an exact ratio string and as a rounded decimal.  Emission is
-canonical (sorted keys, fixed indentation, trailing newline), so the same
-audit produces byte-identical reports and artefacts.
+An audit runs in stages: load_inputs reads and validates every input file,
+partition bands the runs, analyse_bands analyses each band from one matrix,
+compare_policies re-bands under other policies, and the renderers draw from
+the analyses.  run_audit composes all of them into one JSON-ready payload
+in which every number appears both as an exact ratio string and as a rounded
+decimal; the other CLI subcommands run only the stages they print.
+Emission is canonical (sorted keys, fixed indentation, trailing newline), so
+the same audit produces byte-identical reports and artefacts.
 """
 
 from __future__ import annotations
@@ -15,19 +18,16 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .banding import Banding, BandingPolicy, PerformanceBand, partition, refine_lexicographic
+from .banding import Banding, BandingPolicy, partition
 from .core import ExactRatio, LabelVector, ModelRun, decimal_display
 from .errors import InvariantViolation
 from .fairness import (
+    BandAnalysis,
+    BandMatrix,
     DiscrepancyStats,
-    DisputableSet,
-    FairEnsembleReport,
     ambiguity,
-    ambiguity_by_group,
-    discrepancy,
-    disputable_instances,
-    fair_ensemble,
-    unique_vector_counts,
+    analyse_band,
+    band_matrix,
 )
 from .ingest import (
     AuditManifest,
@@ -39,13 +39,7 @@ from .ingest import (
     read_labels,
     write_text_atomic,
 )
-from .profiles import (
-    FoldPanelData,
-    RenderedSvg,
-    fairness_profile,
-    multiplicity_panel,
-    stability_profile,
-)
+from .profiles import RenderedSvg, fairness_profile, multiplicity_panel, stability_profile
 
 FORMAT_VERSION = "1"
 
@@ -68,20 +62,6 @@ def signed_payload(value: Fraction) -> dict:
 
 
 @dataclass(frozen=True)
-class BandAnalysis:
-    """Everything computed about one band, in native types."""
-
-    band: PerformanceBand
-    unique_counts: tuple[int, ...]
-    disputable: DisputableSet
-    ambiguity: ExactRatio
-    discrepancy: DiscrepancyStats
-    ensemble: FairEnsembleReport
-    group_ambiguity: dict[str, ExactRatio] | None
-    refinement: tuple[PerformanceBand, ...] | None
-
-
-@dataclass(frozen=True)
 class PolicyComparison:
     """One row of the policy comparison table."""
 
@@ -94,17 +74,59 @@ class PolicyComparison:
 
 @dataclass(frozen=True)
 class AuditOutcome:
-    """In-memory result of one audit: inputs, analyses, payload, renders."""
+    """In-memory result of one audit: runs, bands, analyses, payload, renders."""
 
-    manifest: AuditManifest
-    seed: int
-    labels: LabelVector
     runs: tuple[ModelRun, ...]
     banding: Banding
     analyses: tuple[BandAnalysis, ...]
-    comparison: tuple[PolicyComparison, ...]
     payload: dict
     renders: dict[str, RenderedSvg]
+
+
+def load_inputs(
+    manifest: AuditManifest,
+) -> tuple[LabelVector, tuple[ModelRun, ...], dict[str, str] | None]:
+    """Read and validate every input file the manifest names.
+
+    Returns the labels, the runs with their fairness predictions attached,
+    and the group map (None when the manifest names none).
+    """
+    labels, value_map = read_labels(manifest.labels_path, manifest.favourable_label)
+    family_tag = manifest.provenance.get("family", "ingested")
+    runs = load_predictions(manifest.predictions_path, labels, value_map, family_tag=family_tag)
+    if manifest.fairness_predictions_path is not None:
+        _, fairness_vectors = load_fairness_predictions(
+            manifest.fairness_predictions_path, value_map
+        )
+        runs = attach_fairness(runs, fairness_vectors)
+    grouping = read_group_map(manifest.group_map_path) if manifest.group_map_path else None
+    return labels, runs, grouping
+
+
+def analyse_bands(
+    manifest: AuditManifest,
+    seed: int,
+    banding: Banding,
+    labels: LabelVector,
+    runs: Sequence[ModelRun],
+    grouping: Mapping[str, str] | None,
+) -> tuple[BandAnalysis, ...]:
+    """Every band's analysis under the manifest's tie-break and discrepancy cap."""
+    return tuple(
+        analyse_band(
+            band, runs, labels, manifest.policy.tie_break, manifest.discrepancy_cap, seed, grouping
+        )
+        for band in banding
+    )
+
+
+def top_band_profile(
+    kind: str, manifest: AuditManifest, seed: int, top: Sequence[BandMatrix]
+) -> RenderedSvg:
+    """The stability or fairness profile of the manifest's top bands."""
+    if kind == "stability_profile":
+        return stability_profile(top)
+    return fairness_profile(top, manifest.profile_variant, manifest.profile_max_instances, seed)
 
 
 def compare_policies(
@@ -121,7 +143,7 @@ def compare_policies(
                 band_count=len(banding.bands),
                 top_band_label=top.label,
                 top_band_run_count=top.run_count,
-                top_band_ambiguity=ambiguity(top, runs),
+                top_band_ambiguity=ambiguity(band_matrix(top, runs)),
             )
         )
     return tuple(rows)
@@ -143,29 +165,6 @@ def default_comparison_policies(policy: BandingPolicy) -> tuple[BandingPolicy, .
             seen.add(text)
             out.append(candidate)
     return tuple(out)
-
-
-def _analyse_band(
-    band: PerformanceBand,
-    runs: Sequence[ModelRun],
-    labels: LabelVector,
-    manifest: AuditManifest,
-    seed: int,
-    grouping: Mapping[str, str] | None,
-) -> BandAnalysis:
-    refinement = None
-    if manifest.policy.tie_break:
-        refinement = refine_lexicographic(band, runs, labels, manifest.policy.tie_break)
-    return BandAnalysis(
-        band=band,
-        unique_counts=unique_vector_counts(band, runs),
-        disputable=disputable_instances(band, runs),
-        ambiguity=ambiguity(band, runs),
-        discrepancy=discrepancy(band, runs, cap=manifest.discrepancy_cap, seed=seed),
-        ensemble=fair_ensemble(band, runs, labels),
-        group_ambiguity=ambiguity_by_group(band, runs, grouping) if grouping else None,
-        refinement=refinement,
-    )
 
 
 def _discrepancy_payload(stats: DiscrepancyStats) -> dict:
@@ -266,45 +265,16 @@ def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> Audi
     the report either way.
     """
     seed = manifest.seed if seed_override is None else seed_override
-    labels, value_map = read_labels(manifest.labels_path, manifest.favourable_label)
-    family_tag = manifest.provenance.get("family", "ingested")
-    runs = load_predictions(manifest.predictions_path, labels, value_map, family_tag=family_tag)
-    if manifest.fairness_predictions_path is not None:
-        _, fairness_vectors = load_fairness_predictions(
-            manifest.fairness_predictions_path, value_map
-        )
-        runs = attach_fairness(runs, fairness_vectors)
-    grouping = read_group_map(manifest.group_map_path) if manifest.group_map_path else None
+    labels, runs, grouping = load_inputs(manifest)
     banding = partition(runs, manifest.policy)
-    analyses = tuple(
-        _analyse_band(band, runs, labels, manifest, seed, grouping) for band in banding
-    )
+    analyses = analyse_bands(manifest, seed, banding, labels, runs, grouping)
     comparison = compare_policies(runs, default_comparison_policies(manifest.policy))
-
-    top_bands = banding.bands[: manifest.profile_top_n]
+    top = [a.matrix for a in analyses[: manifest.profile_top_n]]
     renders = {
-        "stability_profile": stability_profile(
-            banding.bands, runs, top_n=manifest.profile_top_n
-        ),
-        "fairness_profile": fairness_profile(
-            top_bands,
-            runs,
-            variant=manifest.profile_variant,
-            max_instances=manifest.profile_max_instances,
-            seed=seed,
-        ),
-        "multiplicity_panel": multiplicity_panel(
-            [
-                FoldPanelData(
-                    fold_id="all",
-                    ambiguity={a.band.label: a.ambiguity for a in analyses},
-                    discrepancy={a.band.label: a.discrepancy for a in analyses},
-                    run_counts={a.band.label: a.band.run_count for a in analyses},
-                )
-            ],
-            [band.label for band in banding.bands],
-        ),
+        kind: top_band_profile(kind, manifest, seed, top)
+        for kind in ("stability_profile", "fairness_profile")
     }
+    renders["multiplicity_panel"] = multiplicity_panel(analyses)
 
     fairness_size = runs[0].preds_fairness.index.size
     payload = {
@@ -336,15 +306,7 @@ def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> Audi
     }
     validate_payload(payload)
     return AuditOutcome(
-        manifest=manifest,
-        seed=seed,
-        labels=labels,
-        runs=runs,
-        banding=banding,
-        analyses=analyses,
-        comparison=comparison,
-        payload=payload,
-        renders=renders,
+        runs=runs, banding=banding, analyses=analyses, payload=payload, renders=renders
     )
 
 
@@ -353,23 +315,21 @@ def audit(
 ) -> tuple[AuditOutcome, dict[str, Path]]:
     """File-level audit: load the manifest, run it, write every artefact.
 
-    Writes report.json plus each profile as .svg with a .sidecar.json, and
-    returns the outcome together with the written paths.
+    Writes report.json plus each profile as .svg with a .sidecar.json, all
+    seven replaced together (see write_text_atomic), and returns the outcome
+    together with the written paths.
     """
     manifest = load_manifest(Path(manifest_path))
     outcome = run_audit(manifest, seed_override=seed_override)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-    report_path = out_dir / REPORT_BASENAME
-    write_text_atomic(report_path, emit_json(outcome.payload))
-    written["report"] = report_path
+    written = {"report": out_dir / REPORT_BASENAME}
+    texts = {written["report"]: emit_json(outcome.payload)}
     for name in PROFILE_BASENAMES:
         render = outcome.renders[name]
-        svg_path = out_dir / f"{name}.svg"
-        write_text_atomic(svg_path, render.svg)
-        sidecar_path = out_dir / f"{name}.sidecar.json"
-        write_text_atomic(sidecar_path, emit_json(render.sidecar))
-        written[name] = svg_path
-        written[f"{name}.sidecar"] = sidecar_path
+        written[name] = out_dir / f"{name}.svg"
+        written[f"{name}.sidecar"] = out_dir / f"{name}.sidecar.json"
+        texts[written[name]] = render.svg
+        texts[written[f"{name}.sidecar"]] = emit_json(render.sidecar)
+    write_text_atomic(texts)
     return outcome, written

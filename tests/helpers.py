@@ -14,8 +14,17 @@ from fractions import Fraction
 import numpy as np
 
 from multimax.banding import PerformanceBand
-from multimax.core import ExactRatio, InstanceIndex, LabelVector, ModelRun, PredictionVector
+from multimax.core import (
+    ExactRatio,
+    InstanceIndex,
+    LabelVector,
+    ModelRun,
+    PredictionVector,
+    confusion_matrix,
+    metric,
+)
 from multimax.errors import ValidationError
+from multimax.fairness import MetricDeltas, band_matrix
 from multimax.ingest import GROUP_HEADER, LABEL_HEADER, PREDICTION_HEADER
 
 
@@ -56,6 +65,11 @@ def whole_band(runs, label: str = "band") -> PerformanceBand:
         epsilon_display=run_list[0].utility.display(),
         mode="strict",
     )
+
+
+def band_matrices(bands, runs):
+    """One BandMatrix per band, in order."""
+    return [band_matrix(band, runs) for band in bands]
 
 
 def random_labels(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -155,6 +169,22 @@ def oracle_pair_fractions(vectors: dict[str, tuple[int, ...]]) -> list[Fraction]
 def oracle_max_ensemble(vectors: dict[str, tuple[int, ...]]) -> tuple[int, ...]:
     rows = list(vectors.values())
     return tuple(max(row[pos] for row in rows) for pos in range(len(rows[0])))
+
+
+def oracle_fair_ensemble(band, runs, labels):
+    """Ensemble (accuracy, recall, specificity) and member deltas, one confusion matrix per run."""
+    lookup = {run.run_id: run for run in runs}
+    vectors = {run_id: tuple(lookup[run_id].preds_validation.values.tolist()) for run_id in band.run_ids}
+    star = PredictionVector(labels.index, oracle_max_ensemble(vectors))
+    kinds = ("accuracy", "recall", "specificity")
+    star_metrics = {kind: metric(confusion_matrix(star, labels), kind) for kind in kinds}
+    deltas = {}
+    for run_id in band.run_ids:
+        cm = confusion_matrix(lookup[run_id].preds_validation, labels)
+        deltas[run_id] = MetricDeltas(
+            *(star_metrics[kind].as_fraction() - metric(cm, kind).as_fraction() for kind in kinds)
+        )
+    return tuple(star_metrics[kind] for kind in kinds), deltas
 
 
 # ------------------------------------------------------------ ingest oracle

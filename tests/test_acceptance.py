@@ -19,12 +19,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
+from helpers import band_matrices, make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
 from multimax.banding import BandingPolicy, PerformanceBand, partition, refine_lexicographic
 from multimax.cli import main
 from multimax.core import ExactRatio, LabelVector, confusion_matrix, metric, round_scaled
 from multimax.fairness import (
     ambiguity,
+    band_matrix,
     discrepancy,
     fair_ensemble,
     is_individually_fair,
@@ -84,7 +85,7 @@ def test_c02_ensemble_never_trails_members_on_recall():
     start = time.perf_counter()
     for _ in range(1000):
         labels, runs, band = random_band_case(rng)
-        report = fair_ensemble(band, runs, labels)
+        report = fair_ensemble(band_matrix(band, runs), labels)
         ens_recall = report.recall.as_fraction()
         ens_specificity = report.specificity.as_fraction()
         for run in runs:
@@ -101,7 +102,7 @@ def test_c03_fully_expressive_band_saturates_the_ensemble():
     (band,) = [b for b in banding if b.run_count == 100]
     assert band.epsilon == ExactRatio(99, 100)
 
-    report = fair_ensemble(band, scenario.runs, scenario.validation.labels)
+    report = fair_ensemble(band_matrix(band, scenario.runs), scenario.validation.labels)
     assert (report.recall.num, report.recall.den) == (50, 50)
     assert (report.specificity.num, report.specificity.den) == (0, 50)
     assert time.perf_counter() - start < 1.0
@@ -115,7 +116,7 @@ def test_c04_ensemble_pays_one_accuracy_point():
     assert band.run_count == 3
 
     labels = scenario.validation.labels
-    report = fair_ensemble(band, scenario.runs, labels)
+    report = fair_ensemble(band_matrix(band, scenario.runs), labels)
     wrong = [
         iid
         for iid, pred, label in zip(labels.index.ids, report.preds.values, labels.values)
@@ -131,11 +132,11 @@ def test_c05_discrepancy_ambiguity_and_fairness_relations():
     rng = np.random.default_rng(8086)
     for case in range(1000):
         labels, runs, band = random_band_case(rng, identical=case % 5 == 0)
-        amb = ambiguity(band, runs).as_fraction()
-        stats = discrepancy(band, runs)
+        amb = ambiguity(band_matrix(band, runs)).as_fraction()
+        stats = discrepancy(band_matrix(band, runs))
         assert stats.max_fraction.as_fraction() <= amb
-        all_fair = all(is_individually_fair(rid, band, runs).fair for rid in band.run_ids)
-        one_vector = len(unique_vector_counts(band, runs)) == 1
+        all_fair = all(is_individually_fair(rid, band_matrix(band, runs)).fair for rid in band.run_ids)
+        one_vector = len(unique_vector_counts(band_matrix(band, runs))) == 1
         assert (amb == 0) == all_fair == one_vector
 
 
@@ -185,14 +186,14 @@ def test_c06_relaxation_collapses_band_counts():
     assert [b.run_count for b in strict_bands] == [2, 1]
     (merged,) = partition(runs_k, BandingPolicy.parse("round:2")).bands
     assert merged.run_count == 3
-    merged_amb = ambiguity(merged, runs_k).as_fraction()
-    assert merged_amb >= max(ambiguity(b, runs_k).as_fraction() for b in strict_bands)
+    merged_amb = ambiguity(band_matrix(merged, runs_k)).as_fraction()
+    assert merged_amb >= max(ambiguity(band_matrix(b, runs_k)).as_fraction() for b in strict_bands)
 
 
 def test_c07_stability_profile_reports_exact_segments():
     _, runs, multiplicities = pyramid_runs()
     banding = partition(runs, STRICT)
-    rendered = stability_profile(banding.bands, runs)
+    rendered = stability_profile(band_matrices(banding.bands, runs))
     (entry,) = rendered.sidecar["bands"]
     assert entry["label"] == "93/100"
     assert entry["run_count"] == 36
@@ -200,7 +201,7 @@ def test_c07_stability_profile_reports_exact_segments():
     assert sum(entry["segments"]) == 36
     assert sorted(entry["segments"], reverse=True) == sorted(multiplicities, reverse=True)
 
-    again = stability_profile(banding.bands, runs)
+    again = stability_profile(band_matrices(banding.bands, runs))
     assert again.svg == rendered.svg
     assert again.sidecar == rendered.sidecar
 
@@ -227,8 +228,8 @@ def test_c08_summary_profile_conserves_prediction_multisets():
             for j in range(n_runs)
         ]
         bands = partition(runs, STRICT).bands
-        faithful = fairness_profile(bands, runs, variant="faithful")
-        summary = fairness_profile(bands, runs, variant="summary")
+        faithful = fairness_profile(band_matrices(bands, runs), variant="faithful")
+        summary = fairness_profile(band_matrices(bands, runs), variant="summary")
 
         # same favourable count per (column, band), same block heights
         for f_band, s_band in zip(faithful.sidecar["bands"], summary.sidecar["bands"]):
@@ -252,7 +253,7 @@ def test_c08_summary_profile_conserves_prediction_multisets():
     # pinned render: the summary variant under a fixed seed must not drift
     _, runs = two_band_runs()
     bands = partition(runs, STRICT).bands
-    rendered = fairness_profile(bands, runs, variant="summary", seed=0)
+    rendered = fairness_profile(band_matrices(bands, runs), variant="summary", seed=0)
     assert rendered.svg == (DATA_DIR / "fairness_profile_golden.svg").read_text()
 
 
@@ -359,9 +360,9 @@ def test_c12_file_round_trip_matches_in_memory_audit(tmp_path, monkeypatch):
     assert [b.label for b in outcome.banding] == [b.label for b in banding_mem]
     for mem_band, file_band, analysis in zip(banding_mem, outcome.banding, outcome.analyses):
         assert file_band.run_ids == mem_band.run_ids
-        mem_amb = ambiguity(mem_band, scenario.runs)
+        mem_amb = ambiguity(band_matrix(mem_band, scenario.runs))
         assert (analysis.ambiguity.num, analysis.ambiguity.den) == (mem_amb.num, mem_amb.den)
-        mem_ens = fair_ensemble(mem_band, scenario.runs, scenario.validation.labels)
+        mem_ens = fair_ensemble(band_matrix(mem_band, scenario.runs), scenario.validation.labels)
         for kind in ("accuracy", "recall", "specificity"):
             mem_value = getattr(mem_ens, kind)
             file_value = getattr(analysis.ensemble, kind)

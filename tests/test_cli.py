@@ -16,6 +16,72 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def write_group_map(directory, positions, extra_rows=()):
+    """groups.csv assigning the fixture instances at positions, plus extra rows."""
+    rows = [f"i{k:04d},g{k % 2}" for k in positions] + list(extra_rows)
+    (directory / "groups.csv").write_text(
+        "instance_id,group\n" + "".join(row + "\n" for row in rows), encoding="utf-8"
+    )
+
+
+# Every manifest-reading command, with the files it writes under out.
+COMMANDS = {
+    "audit": lambda out: ["audit", "--out", str(out)],
+    "compare": lambda out: ["compare", "--out", str(out / "cmp.json")],
+    "stability_profile": lambda out: ["profile", "--kind", "stability_profile", "--out", str(out / "p.svg")],
+    "fairness_profile": lambda out: ["profile", "--kind", "fairness_profile", "--out", str(out / "p.svg")],
+    "multiplicity_panel": lambda out: ["profile", "--kind", "multiplicity_panel", "--out", str(out / "p.svg")],
+    "fair-model": lambda out: ["fair-model", "--band", "5/6", "--out", str(out)],
+}
+
+
+def run_command(name, manifest, out):
+    argv = COMMANDS[name](out)
+    return run_cli(argv[0], "--manifest", str(manifest), *argv[1:])
+
+
+def written(out):
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class TestFailureScope:
+    """Each command validates every input but fails only on analyses it prints."""
+
+    @pytest.mark.parametrize("name", ["audit", "multiplicity_panel"])
+    def test_group_map_gap_fails_commands_that_print_group_analyses(self, tmp_path, capsys, name):
+        write_group_map(tmp_path, range(5))
+        manifest = write_fixture_inputs(tmp_path, extra_entries={"group_map": "groups.csv"})
+        assert run_command(name, manifest, tmp_path / "out") == 3
+        assert "i0005" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or written(tmp_path / "out") == {}
+
+    @pytest.mark.parametrize("name", ["compare", "stability_profile", "fairness_profile", "fair-model"])
+    def test_group_map_gap_spares_the_other_commands(self, tmp_path, capsys, name):
+        plain = write_fixture_inputs(tmp_path)
+        assert run_command(name, plain, tmp_path / "plain") == 0
+        plain_out = capsys.readouterr().out.replace(str(tmp_path / "plain"), "OUT")
+        write_group_map(tmp_path, range(5))
+        manifest = tmp_path / "gapped.txt"
+        manifest.write_text(plain.read_text() + "group_map=groups.csv\n", encoding="utf-8")
+        assert run_command(name, manifest, tmp_path / "gapped") == 0
+        assert capsys.readouterr().out.replace(str(tmp_path / "gapped"), "OUT") == plain_out
+        assert written(tmp_path / "gapped") == written(tmp_path / "plain")
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_malformed_group_map_fails_every_command(self, tmp_path, capsys, name):
+        write_group_map(tmp_path, range(6), extra_rows=["i0000,g9"])
+        manifest = write_fixture_inputs(tmp_path, extra_entries={"group_map": "groups.csv"})
+        assert run_command(name, manifest, tmp_path / "out") == 2
+        assert "duplicate group assignment for 'i0000'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_bad_seed_fails_every_command(self, tmp_path, capsys, monkeypatch, name):
+        manifest = write_fixture_inputs(tmp_path)
+        monkeypatch.setenv("MULTIMAX_SEED", "soon")
+        assert run_command(name, manifest, tmp_path / "out") == 2
+        assert "MULTIMAX_SEED" in capsys.readouterr().err
+
+
 class TestAuditCommand:
     def test_happy_path(self, tmp_path, capsys):
         manifest = write_fixture_inputs(tmp_path)
@@ -35,12 +101,7 @@ class TestAuditCommand:
 
     def test_group_map_gaps_are_compute_failures(self, tmp_path, capsys):
         # A group map that skips an instance makes group ambiguity undecidable.
-        (tmp_path / "groups.csv").write_text(
-            "instance_id,group\n"
-            + "\n".join(f"i{k:04d},solo" for k in range(5))
-            + "\n",
-            encoding="utf-8",
-        )
+        write_group_map(tmp_path, range(5))
         manifest = write_fixture_inputs(tmp_path, extra_entries={"group_map": "groups.csv"})
         code = run_cli("audit", "--manifest", str(manifest), "--out", str(tmp_path / "out"))
         assert code == 3

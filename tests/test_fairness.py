@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     make_index,
     oracle_disputable,
+    oracle_fair_ensemble,
     oracle_max_ensemble,
     oracle_pair_fractions,
     run_from_bits,
@@ -23,6 +24,7 @@ from multimax.errors import AlignmentError, AnalysisError
 from multimax.fairness import (
     ambiguity,
     ambiguity_by_group,
+    band_matrix,
     discrepancy,
     disputable_instances,
     ensemble_predictions,
@@ -68,7 +70,7 @@ class TestHandExample:
 
     def test_disputable(self):
         _, runs, band = self._fixture()
-        disputed = disputable_instances(band, runs)
+        disputed = disputable_instances(band_matrix(band, runs))
         assert disputed.instance_ids == ("i0001", "i0002")
         assert disputed.per_instance_vote == {"i0001": (2, 1), "i0002": (1, 2)}
         assert "i0001" in disputed and "i0000" not in disputed
@@ -76,11 +78,11 @@ class TestHandExample:
 
     def test_ambiguity(self):
         _, runs, band = self._fixture()
-        assert ambiguity(band, runs) == ExactRatio(2, 4)
+        assert ambiguity(band_matrix(band, runs)) == ExactRatio(2, 4)
 
     def test_discrepancy_pairs(self):
         _, runs, band = self._fixture()
-        stats = discrepancy(band, runs)
+        stats = discrepancy(band_matrix(band, runs))
         assert stats.run_ids == ("a", "b", "c")
         assert stats.instance_count == 4
         # a vs b and a vs c disagree on one instance, b vs c on two
@@ -94,14 +96,14 @@ class TestHandExample:
 
     def test_verdict_witness(self):
         _, runs, band = self._fixture()
-        verdict = is_individually_fair("a", band, runs)
+        verdict = is_individually_fair("a", band_matrix(band, runs))
         assert not verdict.fair
         assert verdict.witness_instance == "i0001"
         assert verdict.witness_run == "b"
 
     def test_ensemble(self):
         labels, runs, band = self._fixture()
-        report = fair_ensemble(band, runs, labels)
+        report = fair_ensemble(band_matrix(band, runs), labels)
         assert report.preds.values.tolist() == [1, 1, 1, 0]
         assert report.accuracy == ExactRatio(3, 4)
         assert report.recall == ExactRatio(2, 2)
@@ -111,14 +113,14 @@ class TestHandExample:
 
     def test_vector_groups(self):
         _, runs, band = self._fixture()
-        groups = prediction_vector_groups(band, runs)
+        groups = prediction_vector_groups(band_matrix(band, runs))
         assert groups == (("a",), ("b",), ("c",))
-        assert unique_vector_counts(band, runs) == (1, 1, 1)
+        assert unique_vector_counts(band_matrix(band, runs)) == (1, 1, 1)
 
     def test_group_ambiguity(self):
         _, runs, band = self._fixture()
         grouping = {"i0000": "g1", "i0001": "g1", "i0002": "g2", "i0003": "g2"}
-        per_group = ambiguity_by_group(band, runs, grouping)
+        per_group = ambiguity_by_group(band_matrix(band, runs), grouping)
         assert per_group == {"g1": ExactRatio(1, 2), "g2": ExactRatio(1, 2)}
 
 
@@ -126,17 +128,17 @@ class TestOracles:
     @given(band_fixture())
     def test_disputable_matches_loop_oracle(self, fixture):
         _, runs, band = fixture
-        disputed = disputable_instances(band, runs)
+        disputed = disputable_instances(band_matrix(band, runs))
         expected = oracle_disputable(vectors_of(runs), runs[0].preds_fairness.index.ids)
         assert list(disputed.instance_ids) == expected
-        assert ambiguity(band, runs) == ExactRatio(
+        assert ambiguity(band_matrix(band, runs)) == ExactRatio(
             len(expected), len(runs[0].preds_fairness.index)
         )
 
     @given(band_fixture())
     def test_votes_sum_to_member_count(self, fixture):
         _, runs, band = fixture
-        disputed = disputable_instances(band, runs)
+        disputed = disputable_instances(band_matrix(band, runs))
         for fav, unf in disputed.per_instance_vote.values():
             assert fav + unf == len(runs)
             assert fav >= 1 and unf >= 1
@@ -144,7 +146,7 @@ class TestOracles:
     @given(band_fixture(), st.integers(2, 9), st.integers(0, 3))
     def test_discrepancy_matches_combinations_oracle(self, fixture, cap, seed):
         _, runs, band = fixture
-        stats = discrepancy(band, runs, cap=cap, seed=seed)
+        stats = discrepancy(band_matrix(band, runs), cap=cap, seed=seed)
         ranked = sorted(band.run_ids, key=lambda r: hashlib.sha256(f"{seed}:{r}".encode()).hexdigest())
         assert stats.run_ids == tuple(sorted(ranked[:cap]))
         vectors = vectors_of(runs)
@@ -157,14 +159,14 @@ class TestOracles:
     @given(band_fixture())
     def test_max_pair_discrepancy_bounded_by_ambiguity(self, fixture):
         _, runs, band = fixture
-        stats = discrepancy(band, runs)
+        stats = discrepancy(band_matrix(band, runs))
         assert stats.max_fraction is not None
-        assert stats.max_fraction <= ambiguity(band, runs)
+        assert stats.max_fraction <= ambiguity(band_matrix(band, runs))
 
     @given(band_fixture())
     def test_ensemble_is_pointwise_maximum(self, fixture):
         _, runs, band = fixture
-        ens = ensemble_predictions(band, runs)
+        ens = ensemble_predictions(band_matrix(band, runs))
         assert tuple(ens.values.tolist()) == oracle_max_ensemble(vectors_of(runs))
         matrix = np.vstack([run.preds_fairness.values for run in runs])
         assert (ens.values >= matrix).all()
@@ -172,18 +174,18 @@ class TestOracles:
     @given(band_fixture())
     def test_ambiguity_zero_iff_all_fair_iff_one_vector(self, fixture):
         _, runs, band = fixture
-        zero = ambiguity(band, runs).num == 0
-        all_fair = all(is_individually_fair(r.run_id, band, runs).fair for r in runs)
-        one_group = len(unique_vector_counts(band, runs)) == 1
+        zero = ambiguity(band_matrix(band, runs)).num == 0
+        all_fair = all(is_individually_fair(r.run_id, band_matrix(band, runs)).fair for r in runs)
+        one_group = len(unique_vector_counts(band_matrix(band, runs))) == 1
         assert zero == all_fair == one_group
 
     @given(band_fixture())
     def test_group_counts_partition_members(self, fixture):
         _, runs, band = fixture
-        counts = unique_vector_counts(band, runs)
+        counts = unique_vector_counts(band_matrix(band, runs))
         assert sum(counts) == len(runs)
         assert list(counts) == sorted(counts, reverse=True)
-        groups = prediction_vector_groups(band, runs)
+        groups = prediction_vector_groups(band_matrix(band, runs))
         flat = sorted(rid for g in groups for rid in g)
         assert flat == sorted(r.run_id for r in runs)
 
@@ -192,7 +194,7 @@ class TestOracles:
         _, runs, band = fixture
         lookup = {r.run_id: r for r in runs}
         for run in runs:
-            verdict = is_individually_fair(run.run_id, band, runs)
+            verdict = is_individually_fair(run.run_id, band_matrix(band, runs))
             if verdict.fair:
                 assert verdict.witness_run is None
                 assert verdict.witness_instance is None
@@ -218,7 +220,7 @@ class TestDiscrepancySampling:
 
     def test_cap_limits_pairs(self):
         runs, band = self._many_runs()
-        stats = discrepancy(band, runs, cap=5, seed=0)
+        stats = discrepancy(band_matrix(band, runs), cap=5, seed=0)
         assert stats.total_runs == 12
         assert stats.sampled_runs == 5
         assert stats.pair_count == 10
@@ -227,30 +229,30 @@ class TestDiscrepancySampling:
 
     def test_sampling_is_deterministic(self):
         runs, band = self._many_runs()
-        first = discrepancy(band, runs, cap=5, seed=3)
-        again = discrepancy(band, runs, cap=5, seed=3)
+        first = discrepancy(band_matrix(band, runs), cap=5, seed=3)
+        again = discrepancy(band_matrix(band, runs), cap=5, seed=3)
         assert first == again
 
     def test_seed_feeds_the_selection(self):
         runs, band = self._many_runs(m=40)
-        picks = {discrepancy(band, runs, cap=3, seed=s).run_ids for s in range(6)}
+        picks = {discrepancy(band_matrix(band, runs), cap=3, seed=s).run_ids for s in range(6)}
         assert len(picks) > 1
 
     def test_no_cap_when_under(self):
         runs, band = self._many_runs(m=4)
-        stats = discrepancy(band, runs, cap=500)
+        stats = discrepancy(band_matrix(band, runs), cap=500)
         assert stats.run_ids == tuple(sorted(r.run_id for r in runs))
         assert stats.pair_count == 6
 
     def test_cap_validation(self):
         runs, band = self._many_runs(m=3)
         with pytest.raises(AnalysisError):
-            discrepancy(band, runs, cap=1)
+            discrepancy(band_matrix(band, runs), cap=1)
 
     def test_single_run_band(self):
         runs, _ = self._many_runs(m=1)
         band = whole_band(runs)
-        stats = discrepancy(band, runs)
+        stats = discrepancy(band_matrix(band, runs))
         assert stats.single_run
         assert stats.pair_counts == {}
         assert stats.pair_count == 0
@@ -262,9 +264,18 @@ class TestDiscrepancySampling:
 
 class TestEnsembleReport:
     @given(band_fixture())
+    def test_matches_per_member_oracle(self, fixture):
+        labels, runs, band = fixture
+        report = fair_ensemble(band_matrix(band, runs), labels)
+        metrics, deltas = oracle_fair_ensemble(band, runs, labels)
+        assert (report.accuracy, report.recall, report.specificity) == metrics
+        assert report.member_deltas == deltas
+        assert list(report.member_deltas) == list(band.run_ids)
+
+    @given(band_fixture())
     def test_monotone_deltas(self, fixture):
         labels, runs, band = fixture
-        report = fair_ensemble(band, runs, labels)
+        report = fair_ensemble(band_matrix(band, runs), labels)
         for delta in report.member_deltas.values():
             assert delta.recall >= 0
             assert delta.specificity <= 0
@@ -275,7 +286,7 @@ class TestEnsembleReport:
         runs = [run_from_bits("a", labels, (1, 1, 0, 0))]
         other = LabelVector(make_index(4, prefix="j"), (1, 1, 0, 0))
         with pytest.raises(AlignmentError):
-            fair_ensemble(whole_band(runs), runs, other)
+            fair_ensemble(band_matrix(whole_band(runs), runs), other)
 
 
 class TestMemberMatrix:
@@ -311,16 +322,16 @@ class TestMemberMatrix:
         b = run_from_bits("b", labels, (1, 0, 0), fairness_bits=(1, 0, 1, 0), fairness_index=grid)
         band = whole_band([a, b])
         assert member_matrix(band, [a, b])[2] == grid
-        disputed = disputable_instances(band, [a, b])
+        disputed = disputable_instances(band_matrix(band, [a, b]))
         assert disputed.instance_ids == ("g1", "g2")
-        assert ambiguity(band, [a, b]) == ExactRatio(2, 4)
+        assert ambiguity(band_matrix(band, [a, b])) == ExactRatio(2, 4)
 
     def test_verdict_requires_membership(self):
         idx = make_index(2)
         labels = LabelVector(idx, (1, 0))
         runs = [run_from_bits("a", labels, (1, 0))]
         with pytest.raises(AnalysisError, match="outsider"):
-            is_individually_fair("outsider", whole_band(runs), runs)
+            is_individually_fair("outsider", band_matrix(whole_band(runs), runs))
 
 
 class TestGroupAmbiguity:
@@ -329,14 +340,14 @@ class TestGroupAmbiguity:
         labels = LabelVector(idx, (1, 0, 0))
         runs = [run_from_bits("a", labels, (1, 0, 0)), run_from_bits("b", labels, (0, 0, 0))]
         with pytest.raises(AnalysisError, match="i0002"):
-            ambiguity_by_group(whole_band(runs), runs, {"i0000": "g", "i0001": "g"})
+            ambiguity_by_group(band_matrix(whole_band(runs), runs), {"i0000": "g", "i0001": "g"})
 
     def test_extra_ids_ignored(self):
         idx = make_index(2)
         labels = LabelVector(idx, (1, 0))
         runs = [run_from_bits("a", labels, (1, 0)), run_from_bits("b", labels, (0, 0))]
         grouping = {"i0000": "g", "i0001": "g", "ghost": "h"}
-        per_group = ambiguity_by_group(whole_band(runs), runs, grouping)
+        per_group = ambiguity_by_group(band_matrix(whole_band(runs), runs), grouping)
         assert per_group == {"g": ExactRatio(1, 2)}
 
 
@@ -351,5 +362,5 @@ def test_partitioned_bands_keep_their_own_ambiguity():
     runs = [top_a, top_b, low_a, low_b]
     banding = partition(runs, BandingPolicy(mode="strict"))
     assert len(banding) == 2
-    assert ambiguity(banding.top, runs) == ExactRatio(0, 4)
-    assert ambiguity(banding.bands[1], runs) == ExactRatio(2, 4)
+    assert ambiguity(band_matrix(banding.top, runs)) == ExactRatio(0, 4)
+    assert ambiguity(band_matrix(banding.bands[1], runs)) == ExactRatio(2, 4)

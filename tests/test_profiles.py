@@ -7,11 +7,11 @@ from xml.dom import minidom
 
 import pytest
 
-from helpers import make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
+from helpers import band_matrices, make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
 from multimax.banding import BandingPolicy, partition
-from multimax.core import ExactRatio, LabelVector
+from multimax.core import LabelVector
 from multimax.errors import AnalysisError
-from multimax.fairness import ambiguity, discrepancy, unique_vector_counts
+from multimax.fairness import analyse_band, band_matrix, unique_vector_counts
 from multimax.profiles import (
     BAND_PALETTE,
     CELL_PX,
@@ -19,7 +19,6 @@ from multimax.profiles import (
     FAVOURABLE_SHADE,
     MAX_WIDTH,
     UNFAVOURABLE_SHADE,
-    FoldPanelData,
     _mix_towards_white,
     band_colour,
     band_dash,
@@ -77,14 +76,14 @@ class TestStabilityProfile:
     def _render(top_n=8):
         _, runs, _ = pyramid_runs()
         banding = partition(runs, BandingPolicy(mode="strict"))
-        return banding, runs, stability_profile(banding.bands, runs, top_n=top_n)
+        return banding, runs, stability_profile(band_matrices(banding.bands[:top_n], runs))
 
     def test_segments_match_group_sizes(self):
         banding, runs, rendered = self._render()
         (band_entry,) = rendered.sidecar["bands"]
         assert band_entry["label"] == "93/100"
         assert band_entry["run_count"] == 36
-        assert tuple(band_entry["segments"]) == unique_vector_counts(banding.top, runs)
+        assert tuple(band_entry["segments"]) == unique_vector_counts(band_matrix(banding.top, runs))
         assert sum(band_entry["segments"]) == 36
 
     def test_render_is_byte_stable(self):
@@ -100,16 +99,14 @@ class TestStabilityProfile:
     def test_top_n_slices(self):
         _, runs = two_band_runs()
         banding = partition(runs, BandingPolicy(mode="strict"))
-        rendered = stability_profile(banding.bands, runs, top_n=2)
+        rendered = stability_profile(band_matrices(banding.bands[:2], runs))
         assert [b["label"] for b in rendered.sidecar["bands"]] == ["5/6", "2/3"]
 
     def test_validation(self):
         _, runs = two_band_runs()
         banding = partition(runs, BandingPolicy(mode="strict"))
         with pytest.raises(AnalysisError):
-            stability_profile(banding.bands, runs, top_n=0)
-        with pytest.raises(AnalysisError):
-            stability_profile([], runs)
+            stability_profile([])
 
 
 class TestFairnessProfile:
@@ -121,8 +118,8 @@ class TestFairnessProfile:
 
     def test_variants_conserve_column_multisets(self):
         bands, runs = self._bands_and_runs()
-        faithful = fairness_profile(bands, runs, variant="faithful")
-        summary = fairness_profile(bands, runs, variant="summary")
+        faithful = fairness_profile(band_matrices(bands, runs), variant="faithful")
+        summary = fairness_profile(band_matrices(bands, runs), variant="summary")
 
         def fills_by_column(rendered):
             columns = rendered.sidecar["columns"]
@@ -138,15 +135,15 @@ class TestFairnessProfile:
 
     def test_sidecar_counts_agree_between_variants(self):
         bands, runs = self._bands_and_runs()
-        faithful = fairness_profile(bands, runs, variant="faithful")
-        summary = fairness_profile(bands, runs, variant="summary")
+        faithful = fairness_profile(band_matrices(bands, runs), variant="faithful")
+        summary = fairness_profile(band_matrices(bands, runs), variant="summary")
         for f_band, s_band in zip(faithful.sidecar["bands"], summary.sidecar["bands"]):
             assert f_band["column_counts"] == s_band["column_counts"]
 
     def test_faithful_keeps_run_identity(self):
         bands, runs = self._bands_and_runs()
-        faithful = fairness_profile(bands, runs, variant="faithful")
-        summary = fairness_profile(bands, runs, variant="summary")
+        faithful = fairness_profile(band_matrices(bands, runs), variant="faithful")
+        summary = fairness_profile(band_matrices(bands, runs), variant="summary")
         first = faithful.sidecar["bands"][0]
         assert [row["run_id"] for row in first["rows"]] == list(first["members"])
         assert all(
@@ -155,14 +152,14 @@ class TestFairnessProfile:
 
     def test_summary_puts_disputed_columns_first(self):
         bands, runs = self._bands_and_runs()
-        summary = fairness_profile(bands, runs, variant="summary")
+        summary = fairness_profile(band_matrices(bands, runs), variant="summary")
         assert summary.sidecar["columns"][:3] == ["i0001", "i0002", "i0003"]
-        faithful = fairness_profile(bands, runs, variant="faithful")
+        faithful = fairness_profile(band_matrices(bands, runs), variant="faithful")
         assert faithful.sidecar["columns"] == [f"i{k:04d}" for k in range(6)]
 
     def test_summary_sorts_rows_within_each_column(self):
         bands, runs = self._bands_and_runs()
-        summary = fairness_profile(bands, runs, variant="summary")
+        summary = fairness_profile(band_matrices(bands, runs), variant="summary")
         cells = cell_fills(summary.svg)
         light = prediction_fill(0, True)
         dark = prediction_fill(0, False)
@@ -190,17 +187,17 @@ class TestFairnessProfile:
         ]
         banding = partition(runs, BandingPolicy.parse("tol:1"))
         assert banding.top.run_count == 2
-        rendered = fairness_profile(banding.bands, runs, max_instances=5, seed=9)
+        rendered = fairness_profile(band_matrices(banding.bands, runs), max_instances=5, seed=9)
         assert rendered.sidecar["sampled"] is True
         assert rendered.sidecar["disputable_union_size"] == 30
         assert len(rendered.sidecar["columns"]) == 5
-        again = fairness_profile(banding.bands, runs, max_instances=5, seed=9)
+        again = fairness_profile(band_matrices(banding.bands, runs), max_instances=5, seed=9)
         assert rendered.svg == again.svg
         assert "seeded sample" in rendered.svg
 
     def test_disputed_fill_before_peaceful_when_room(self):
         bands, runs = self._bands_and_runs()
-        rendered = fairness_profile(bands, runs, max_instances=4)
+        rendered = fairness_profile(band_matrices(bands, runs), max_instances=4)
         assert rendered.sidecar["sampled"] is False
         assert set(rendered.sidecar["columns"]) >= {"i0001", "i0002", "i0003"}
         assert len(rendered.sidecar["columns"]) == 4
@@ -208,21 +205,21 @@ class TestFairnessProfile:
     def test_validation(self):
         bands, runs = self._bands_and_runs()
         with pytest.raises(AnalysisError):
-            fairness_profile(bands, runs, variant="compact")
+            fairness_profile(band_matrices(bands, runs), variant="compact")
         with pytest.raises(AnalysisError):
-            fairness_profile(bands, runs, max_instances=0)
+            fairness_profile(band_matrices(bands, runs), max_instances=0)
         with pytest.raises(AnalysisError):
-            fairness_profile([], runs)
+            fairness_profile([])
 
     def test_well_formed_and_stable(self):
         bands, runs = self._bands_and_runs()
-        rendered = fairness_profile(bands, runs)
+        rendered = fairness_profile(band_matrices(bands, runs))
         assert_well_formed(rendered.svg)
-        assert rendered.svg == fairness_profile(bands, runs).svg
+        assert rendered.svg == fairness_profile(band_matrices(bands, runs)).svg
 
     def test_matches_golden_render(self):
         bands, runs = self._bands_and_runs()
-        rendered = fairness_profile(bands, runs, variant="summary", seed=0)
+        rendered = fairness_profile(band_matrices(bands, runs), variant="summary", seed=0)
         golden = (DATA_DIR / "fairness_profile_golden.svg").read_text()
         assert rendered.svg == golden
 
@@ -231,7 +228,7 @@ class TestFairnessProfile:
         labels = LabelVector(idx, (1,) * 75 + (0,) * 75)
         runs = [run_from_bits("solo", labels, labels.values)]
         banding = partition(runs, BandingPolicy(mode="strict"))
-        rendered = fairness_profile(banding.bands, runs)
+        rendered = fairness_profile(band_matrices(banding.bands, runs))
         header = rendered.svg.splitlines()[0]
         match = re.search(r'viewBox="0 0 ([\d.]+) [\d.]+" width="([\d.]+)"', header)
         assert match is not None
@@ -243,20 +240,12 @@ class TestFairnessProfile:
 class TestMultiplicityPanel:
     @staticmethod
     def _panel():
-        _, runs = two_band_runs()
+        labels, runs = two_band_runs()
         banding = partition(runs, BandingPolicy(mode="strict"))
-        labels = [b.label for b in banding]
-        fold = FoldPanelData(
-            fold_id="all",
-            ambiguity={b.label: ambiguity(b, runs) for b in banding},
-            discrepancy={b.label: discrepancy(b, runs) for b in banding},
-            run_counts={b.label: b.run_count for b in banding},
-        )
-        return fold, labels
+        return [analyse_band(b, runs, labels) for b in banding]
 
     def test_markers(self):
-        fold, labels = self._panel()
-        rendered = multiplicity_panel([fold], labels)
+        rendered = multiplicity_panel(self._panel())
         assert rendered.sidecar["markers"] == {
             "5/6": "violin",
             "2/3": "violin",
@@ -265,8 +254,7 @@ class TestMultiplicityPanel:
         }
 
     def test_pooled_fraction_counts(self):
-        fold, labels = self._panel()
-        rendered = multiplicity_panel([fold], labels)
+        rendered = multiplicity_panel(self._panel())
         pooled = rendered.sidecar["pooled_fraction_counts"]
         assert pooled["5/6"] == {"2/6": 1}
         assert pooled["2/3"] == {"2/6": 1}
@@ -279,15 +267,9 @@ class TestMultiplicityPanel:
         bits = {"a": (0, 0, 0, 0), "b": (0, 0, 0, 0), "c": (1, 0, 0, 0), "d": (1, 1, 0, 0)}
         runs = [run_from_bits(run_id, labels, row) for run_id, row in bits.items()]
         band = whole_band(runs)
-        stats = discrepancy(band, runs)
-        assert stats.pair_counts == {0: 1, 1: 3, 2: 2}
-        fold = FoldPanelData(
-            fold_id="all",
-            ambiguity={band.label: ambiguity(band, runs)},
-            discrepancy={band.label: stats},
-            run_counts={band.label: band.run_count},
-        )
-        rendered = multiplicity_panel([fold], [band.label])
+        analysis = analyse_band(band, runs, labels)
+        assert analysis.discrepancy.pair_counts == {0: 1, 1: 3, 2: 2}
+        rendered = multiplicity_panel([analysis])
         assert rendered.sidecar["markers"] == {band.label: "violin"}
         rects = re.findall(r'<rect [^>]*width="([\d.]+)" height="[\d.]+" fill="([^"]+)"', rendered.svg)
         # violin bins bottom-up (0, 1/4, 2/4), then the run-count bar
@@ -295,41 +277,18 @@ class TestMultiplicityPanel:
         assert [w / max(widths) for w in widths] == pytest.approx([1 / 3, 1, 2 / 3], abs=0.01)
 
     def test_fold_sidecar_numbers(self):
-        fold, labels = self._panel()
-        rendered = multiplicity_panel([fold], labels)
+        rendered = multiplicity_panel(self._panel())
         (fold_entry,) = rendered.sidecar["folds"]
         assert fold_entry["fold_id"] == "all"
         assert fold_entry["run_counts"] == {"5/6": 2, "2/3": 2, "1/2": 1, "1/6": 2}
         assert fold_entry["pair_counts"] == {"5/6": 1, "2/3": 1, "1/2": 0, "1/6": 1}
         assert fold_entry["ambiguity"]["5/6"] == "2/6"
 
-    def test_partial_folds_are_fine(self):
-        fold, labels = self._panel()
-        partial = FoldPanelData(
-            fold_id="extra",
-            ambiguity={"5/6": ExactRatio(1, 6)},
-            discrepancy={},
-            run_counts={"5/6": 4},
-        )
-        rendered = multiplicity_panel([fold, partial], labels)
-        assert rendered.sidecar["folds"][1]["fold_id"] == "extra"
-
-    def test_unknown_band_rejected(self):
-        fold, labels = self._panel()
-        with pytest.raises(AnalysisError, match="unknown band"):
-            multiplicity_panel([fold], labels[:1])
-
     def test_validation(self):
-        fold, labels = self._panel()
         with pytest.raises(AnalysisError):
-            multiplicity_panel([], labels)
-        with pytest.raises(AnalysisError):
-            multiplicity_panel([fold], [])
-        with pytest.raises(AnalysisError, match="repeat"):
-            multiplicity_panel([fold], ["5/6", "5/6"])
+            multiplicity_panel([])
 
     def test_well_formed_and_stable(self):
-        fold, labels = self._panel()
-        rendered = multiplicity_panel([fold], labels)
+        rendered = multiplicity_panel(self._panel())
         assert_well_formed(rendered.svg)
-        assert rendered.svg == multiplicity_panel([fold], labels).svg
+        assert rendered.svg == multiplicity_panel(self._panel()).svg

@@ -7,6 +7,7 @@ import stat
 import pytest
 
 from helpers import two_band_runs
+from multimax import ingest
 from multimax.banding import BandingPolicy
 from multimax.core import decimal_display
 from multimax.errors import InvariantViolation
@@ -247,3 +248,24 @@ class TestAuditFiles:
         with pytest.raises(OSError, match="rename refused"):
             audit(manifest_path, out, seed_override=99)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_third_write_keeps_every_old_artefact(self, tmp_path, monkeypatch):
+        manifest_path = write_fixture_inputs(tmp_path)
+        out = tmp_path / "out"
+        audit(manifest_path, out)
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        opened = []
+
+        def fail_third(path, mode="r", **kwargs):
+            opened.append(path)
+            if len(opened) == 3:
+                raise OSError("disk full")
+            return open(path, mode, **kwargs)
+
+        # the module global shadows the builtin for ingest's writes only
+        monkeypatch.setattr(ingest, "open", fail_third, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            audit(manifest_path, out, seed_override=99)
+        assert len(opened) == 3
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        assert not list(out.glob("*.tmp")) and not list(out.glob(".*.tmp"))
