@@ -12,8 +12,6 @@ so a recorded report can be reproduced without editing files.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import os
 import sys
 from itertools import repeat
@@ -34,10 +32,11 @@ from .ingest import (
     PREDICTION_HEADER,
     AuditManifest,
     _check_written_ids,
+    csv_text,
+    labels_csv,
     load_manifest,
-    write_labels_csv,
-    write_manifest,
-    write_predictions_csv,
+    manifest_text,
+    predictions_csv,
     write_text_atomic,
 )
 from .profiles import multiplicity_panel
@@ -112,11 +111,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def _ensemble_csv(preds: PredictionVector) -> str:
     """The fair ensemble's predictions in long form, as a prediction file."""
     _check_written_ids("instance", preds.index.ids)
-    text = io.StringIO()
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(PREDICTION_HEADER)
-    writer.writerows(zip(repeat("fair-ensemble"), preds.index.ids, preds.values.tolist()))
-    return text.getvalue()
+    rows = zip(repeat("fair-ensemble"), preds.index.ids, preds.values.tolist())
+    return csv_text(PREDICTION_HEADER, rows, lineterminator="\n")
 
 
 def _cmd_fair_model(args: argparse.Namespace) -> int:
@@ -161,14 +157,9 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     if seed is None:
         seed = args.seed
     scenario = build_scenario(args.scenario, seed=seed)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    labels_path = out_dir / "labels.csv"
-    preds_path = out_dir / "predictions.csv"
-    fairness_path = out_dir / "fairness_predictions.csv"
     entries = {
-        "labels": labels_path.name,
-        "predictions": preds_path.name,
+        "labels": "labels.csv",
+        "predictions": "predictions.csv",
         "favourable_label": "1",
         "band": args.banding,
         "seed": str(seed),
@@ -178,20 +169,24 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     if args.tie_break:
         entries["tie_break"] = args.tie_break
     if scenario.fairness is not None:
-        entries["fairness_predictions"] = fairness_path.name
-    # the manifest goes first, so an entry it refuses leaves no input file behind
-    manifest_path = out_dir / "manifest.txt"
-    write_manifest(manifest_path, entries)
-    write_labels_csv(labels_path, scenario.validation.labels)
-    write_predictions_csv(preds_path, scenario.runs, which="validation")
+        entries["fairness_predictions"] = "fairness_predictions.csv"
+    # the manifest's refusals come first, and every file is built before any
+    # is written, so a refusal or a failure before the renames changes nothing
+    manifest = manifest_text(entries)
+    out_dir = Path(args.out)
+    files = {
+        out_dir / "labels.csv": labels_csv(scenario.validation.labels),
+        out_dir / "predictions.csv": predictions_csv(scenario.runs, which="validation"),
+        out_dir / "manifest.txt": manifest,
+    }
     if scenario.fairness is not None:
-        write_predictions_csv(fairness_path, scenario.runs, which="fairness")
+        files[out_dir / "fairness_predictions.csv"] = predictions_csv(scenario.runs, which="fairness")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_text_atomic(files)
     print(f"scenario {scenario.name}: {scenario.notes}")
     print(f"{len(scenario.runs)} runs over {scenario.validation.size} validation instances")
-    for path in (labels_path, preds_path, manifest_path):
+    for path in files:
         print(f"wrote {path}")
-    if scenario.fairness is not None:
-        print(f"wrote {fairness_path}")
     return EXIT_OK
 
 

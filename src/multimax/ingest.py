@@ -16,7 +16,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -497,18 +497,23 @@ def _check_written_ids(kind: str, ids: Iterable[str]) -> None:
             raise ValidationError(f"{kind} id {item!r} has surrounding whitespace")
 
 
-def write_labels_csv(path: Path, labels: LabelVector) -> None:
-    """Write labels with the canonical 0/1 vocabulary."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence], lineterminator: str = "\r\n") -> str:
+    """A header and rows as CSV text, quoted as csv.writer quotes."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=lineterminator)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def labels_csv(labels: LabelVector) -> str:
+    """Labels with the canonical 0/1 vocabulary, as CSV text."""
     _check_written_ids("instance", labels.index.ids)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(LABEL_HEADER)
-        for instance_id, value in zip(labels.index.ids, labels.values.tolist()):
-            writer.writerow([instance_id, str(value)])
+    return csv_text(LABEL_HEADER, zip(labels.index.ids, labels.values.tolist()))
 
 
-def write_predictions_csv(path: Path, runs: Iterable[ModelRun], which: str = "validation") -> None:
-    """Write runs in long form, grouped by run in the given order."""
+def predictions_csv(runs: Iterable[ModelRun], which: str = "validation") -> str:
+    """Runs in long form, grouped by run in the given order, as CSV text."""
     if which not in ("validation", "fairness"):
         raise ValueError(f"unknown prediction set {which!r}")
     vectors = [
@@ -518,16 +523,12 @@ def write_predictions_csv(path: Path, runs: Iterable[ModelRun], which: str = "va
     _check_written_ids("run", (run_id for run_id, _ in vectors))
     for index in {vector.index for _, vector in vectors}:
         _check_written_ids("instance", index.ids)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PREDICTION_HEADER)
-        for run_id, vector in vectors:
-            for instance_id, value in zip(vector.index.ids, vector.values.tolist()):
-                writer.writerow([run_id, instance_id, str(value)])
+    rows = (zip(repeat(run_id), vector.index.ids, vector.values.tolist()) for run_id, vector in vectors)
+    return csv_text(PREDICTION_HEADER, chain.from_iterable(rows))
 
 
-def write_manifest(path: Path, entries: Mapping[str, str]) -> None:
-    """Write a flat manifest; an entry load_manifest would read back changed is refused.
+def manifest_text(entries: Mapping[str, str]) -> str:
+    """A flat manifest; an entry load_manifest would read back changed is refused.
 
     load_manifest splits lines on line breaks, skips # comments, splits each
     line at its first '=' and strips both sides, so a key must not hold '='
@@ -541,8 +542,7 @@ def write_manifest(path: Path, entries: Mapping[str, str]) -> None:
             raise ValidationError(
                 f"manifest entry {key!r}={value!r} is empty, padded or holds a line break"
             )
-    lines = [f"{key}={value}" for key, value in entries.items()]
-    write_text_atomic({Path(path): "\n".join(lines) + "\n"})
+    return "\n".join(f"{key}={value}" for key, value in entries.items()) + "\n"
 
 
 def write_text_atomic(files: Mapping[Path, str]) -> None:

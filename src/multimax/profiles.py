@@ -252,7 +252,8 @@ def fairness_profile(
     model.  The summary variant sorts every column within each band block
     (favourable on top), which surrenders row identity but makes the vote
     split legible; per-(instance, band) prediction multisets are identical
-    between the two variants by construction.
+    between the two variants by construction.  A vertical run of equal cells
+    is one rect, so a summary column is at most two: favourable, unfavourable.
 
     When the fairness index outgrows max_instances, disputed columns win
     seats first; if even those overflow, a deterministic seeded sample of
@@ -299,32 +300,33 @@ def fairness_profile(
         if variant == "summary":
             block = np.sort(block, axis=0)[::-1]
         fills = (prediction_fill(pos, False), prediction_fill(pos, True))
-        rows_meta = []
-        for r, row in enumerate(block.tolist()):
-            rows_meta.append({"run_id": bm.member_ids[r] if variant == "faithful" else None})
-            for c, value in enumerate(row):
-                doc.rect(margin_left + c * cell, y + r * cell, cell - 1, cell - 1, fills[value])
+        # one rect per vertical run of equal cells, column by column; every
+        # column opens a run on row 0, so each run ends where the next begins
+        n_rows = block.shape[0]
+        starts = np.ones(block.shape, dtype=bool)
+        starts[1:] = block[1:] != block[:-1]
+        cols, rows = np.nonzero(starts.T)
+        lengths = np.diff(cols * n_rows + rows, append=block.size)
+        for c, r, k, value in zip(cols.tolist(), rows.tolist(), lengths.tolist(), block[rows, cols].tolist()):
+            doc.rect(margin_left + c * cell, y + r * cell, cell - 1, k * cell - 1, fills[value])
         doc.text(
             margin_left - 8,
-            y + (block.shape[0] * cell) / 2 + FONT_PX / 2,
+            y + (n_rows * cell) / 2 + FONT_PX / 2,
             bm.label,
             FONT_PX,
             anchor="end",
             fill=band_colour(pos),
         )
-        counts = {
-            column: [int(block[:, c].sum()), int(block.shape[0] - block[:, c].sum())]
-            for c, column in enumerate(columns)
-        }
+        favourable = block.sum(axis=0, dtype=np.int64).tolist()
         sidecar_bands.append(
             {
                 "label": bm.label,
                 "members": list(bm.member_ids),
-                "rows": rows_meta,
-                "column_counts": counts,
+                "rows": [{"run_id": r if variant == "faithful" else None} for r in bm.member_ids],
+                "column_counts": {col: [f, n_rows - f] for col, f in zip(columns, favourable)},
             }
         )
-        y += block.shape[0] * cell + band_gap
+        y += n_rows * cell + band_gap
 
     legend_y = y + FONT_PX + 6
     doc.text(20, legend_y, "bands:", FONT_PX)

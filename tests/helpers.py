@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,16 @@ from multimax.core import (
 )
 from multimax.errors import ValidationError
 from multimax.fairness import MetricDeltas, band_matrix
-from multimax.ingest import GROUP_HEADER, LABEL_HEADER, PREDICTION_HEADER
+from multimax.ingest import (
+    GROUP_HEADER,
+    LABEL_HEADER,
+    PREDICTION_HEADER,
+    labels_csv,
+    manifest_text,
+    predictions_csv,
+    write_text_atomic,
+)
+from multimax.profiles import CELL_PX, prediction_fill
 
 
 def make_index(n: int, prefix: str = "i") -> InstanceIndex:
@@ -65,6 +75,18 @@ def whole_band(runs, label: str = "band") -> PerformanceBand:
         epsilon_display=run_list[0].utility.display(),
         mode="strict",
     )
+
+
+def write_labels_csv(path, labels: LabelVector) -> None:
+    write_text_atomic({path: labels_csv(labels)})
+
+
+def write_predictions_csv(path, runs, which: str = "validation") -> None:
+    write_text_atomic({path: predictions_csv(runs, which)})
+
+
+def write_manifest(path, entries) -> None:
+    write_text_atomic({path: manifest_text(entries)})
 
 
 def band_matrices(bands, runs):
@@ -185,6 +207,60 @@ def oracle_fair_ensemble(band, runs, labels):
             *(star_metrics[kind].as_fraction() - metric(cm, kind).as_fraction() for kind in kinds)
         )
     return tuple(star_metrics[kind] for kind in kinds), deltas
+
+
+# ------------------------------------------------------ fairness profile cells
+# A prediction rect is CELL_PX - 1 wide and k * CELL_PX - 1 high: k equal
+# cells of one column, stacked.  The legend's swatches are FONT_PX wide and
+# the stability profile's segments carry a stroke, so neither matches.
+
+CELL_RECT = re.compile(
+    rf'<rect x="([-\d.]+)" y="([-\d.]+)" width="{CELL_PX - 1}\.00" '
+    r'height="(\d+)\.00" fill="(#[0-9a-f]{6})"/>'
+)
+
+
+def cell_rects(svg: str) -> list[tuple[float, float, int, str]]:
+    """(x, y, k, fill) of every prediction rect in document order; k counts its cells."""
+    out = []
+    for x, y, height, fill in CELL_RECT.findall(svg):
+        k, rest = divmod(int(height) + 1, CELL_PX)
+        if k and not rest:
+            out.append((float(x), float(y), k, fill))
+    return out
+
+
+def cell_fills(svg: str) -> list[tuple[float, float, str]]:
+    """(x, y, fill) of every prediction cell, each rect expanded into its k cells."""
+    return [
+        (x, y + j * CELL_PX, fill) for x, y, k, fill in cell_rects(svg) for j in range(k)
+    ]
+
+
+def oracle_fairness_cells(matrices, variant: str, columns) -> list[tuple[float, float, str]]:
+    """(x, y, fill) of every cell of the fairness profile, one member and column at a time.
+
+    The reference for the run-merging renderer: every member's prediction in
+    every drawn column is its own cell, and the summary variant sorts each
+    column in Python, favourable on top.  The layout is the profile's own:
+    cells from x = 140 and y = 48, and 8 px between band blocks.
+    """
+    cells = []
+    y = 48
+    for pos, bm in enumerate(matrices):
+        block = [
+            [int(bm.fairness[r, bm.fairness_index.position(c)]) for c in columns]
+            for r in range(len(bm.member_ids))
+        ]
+        if variant == "summary":
+            by_column = [sorted(column, reverse=True) for column in zip(*block)]
+            block = [list(row) for row in zip(*by_column)]
+        fills = (prediction_fill(pos, False), prediction_fill(pos, True))
+        for r, row in enumerate(block):
+            for c, value in enumerate(row):
+                cells.append((float(140 + c * CELL_PX), float(y + r * CELL_PX), fills[value]))
+        y += len(block) * CELL_PX + 8
+    return cells
 
 
 # ------------------------------------------------------------ ingest oracle

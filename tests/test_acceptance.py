@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -19,7 +18,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import band_matrices, make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
+from helpers import (
+    band_matrices,
+    cell_fills,
+    make_index,
+    pyramid_runs,
+    run_from_bits,
+    two_band_runs,
+    whole_band,
+    write_labels_csv,
+    write_manifest,
+    write_predictions_csv,
+)
 from multimax.banding import BandingPolicy, PerformanceBand, partition, refine_lexicographic
 from multimax.cli import main
 from multimax.core import ExactRatio, LabelVector, confusion_matrix, metric, round_scaled
@@ -31,7 +41,7 @@ from multimax.fairness import (
     is_individually_fair,
     unique_vector_counts,
 )
-from multimax.ingest import load_manifest, write_labels_csv, write_manifest, write_predictions_csv
+from multimax.ingest import load_manifest
 from multimax.profiles import fairness_profile, stability_profile
 from multimax.report import run_audit
 from multimax.zoo import build_scenario
@@ -206,15 +216,6 @@ def test_c07_stability_profile_reports_exact_segments():
     assert again.sidecar == rendered.sidecar
 
 
-CELL_RECT = re.compile(
-    r'<rect x="([0-9.]+)" y="([0-9.]+)" width="13\.00" height="13\.00" fill="(#[0-9a-f]{6})"/>'
-)
-
-
-def _cell_fills(svg: str) -> list[tuple[float, float, str]]:
-    return [(float(x), float(y), fill) for x, y, fill in CELL_RECT.findall(svg)]
-
-
 def test_c08_summary_profile_conserves_prediction_multisets():
     rng = np.random.default_rng(77)
     for _ in range(25):
@@ -239,7 +240,7 @@ def test_c08_summary_profile_conserves_prediction_multisets():
         # and the rendered cells agree column by column
         def fills_by_column(rendered):
             columns = rendered.sidecar["columns"]
-            cells = _cell_fills(rendered.svg)
+            cells = cell_fills(rendered.svg)
             xs = sorted({x for x, _, _ in cells})
             assert len(xs) == len(columns)
             x_to_col = dict(zip(xs, columns))

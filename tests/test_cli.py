@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 
 import pytest
 
+from helpers import write_labels_csv, write_manifest, write_predictions_csv
+from multimax import ingest
 from multimax.cli import _ensemble_csv, main
 from multimax.core import InstanceIndex, LabelVector, ModelRun, PredictionVector
 from multimax.errors import ValidationError
-from multimax.ingest import write_labels_csv, write_manifest, write_predictions_csv
 from test_report import write_fixture_inputs
 
 
@@ -156,6 +158,30 @@ class TestZooCommand:
         assert run_cli("zoo", "--scenario", "stump", "--out", str(tmp_path), "--banding", " strict") == 2
         assert "' strict'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fault", ["rename", "prediction write"])
+    def test_failed_zoo_leaves_earlier_inputs_unchanged(self, tmp_path, capsys, monkeypatch, fault):
+        zoo = ("zoo", "--scenario", "separable-linear", "--out", str(tmp_path), "--seed")
+        assert run_cli(*zoo, "1") == 0
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        real_open = open
+
+        def refuse_rename(*args, **kwargs):
+            raise OSError("rename refused")
+
+        def refuse_predictions(file, *args, **kwargs):
+            if "predictions" in os.fspath(file):
+                raise OSError("disk full")
+            return real_open(file, *args, **kwargs)
+
+        if fault == "rename":
+            monkeypatch.setattr(os, "replace", refuse_rename)
+        else:
+            monkeypatch.setattr(ingest, "open", refuse_predictions, raising=False)
+        with pytest.raises(OSError):
+            run_cli(*zoo, "2")
+        # no input file changed, manifest included, and no temporary file is left
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
     def test_unknown_scenario_rejected_by_parser(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -19,6 +19,9 @@ from helpers import (
     oracle_read_group_map,
     oracle_read_labels,
     two_band_runs,
+    write_labels_csv,
+    write_manifest,
+    write_predictions_csv,
 )
 from multimax import ingest
 from multimax.banding import BandingPolicy
@@ -36,9 +39,6 @@ from multimax.ingest import (
     load_predictions,
     read_group_map,
     read_labels,
-    write_labels_csv,
-    write_manifest,
-    write_predictions_csv,
 )
 from test_report import write_fixture_inputs
 

@@ -6,8 +6,20 @@ from pathlib import Path
 from xml.dom import minidom
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import band_matrices, make_index, pyramid_runs, run_from_bits, two_band_runs, whole_band
+from helpers import (
+    band_matrices,
+    cell_fills,
+    cell_rects,
+    make_index,
+    oracle_fairness_cells,
+    pyramid_runs,
+    run_from_bits,
+    two_band_runs,
+    whole_band,
+)
 from multimax.banding import BandingPolicy, partition
 from multimax.core import LabelVector
 from multimax.errors import AnalysisError
@@ -31,18 +43,35 @@ from multimax.profiles import (
 DATA_DIR = Path(__file__).parent / "data"
 
 
+@st.composite
+def profile_bands(draw):
+    """Band matrices over one index, each column random, constant or alternating.
+
+    Bands may have a single member; max_instances may fall below the
+    disputed count, so the drawn columns are then a seeded sample.
+    """
+    n = draw(st.integers(1, 10))
+    idx = make_index(n)
+    labels = LabelVector(idx, tuple(k % 2 for k in range(n)))
+    matrices = []
+    for b in range(draw(st.integers(1, 4))):
+        rows = draw(st.integers(1, 6))
+        columns = []
+        for _ in range(n):
+            kind = draw(st.sampled_from(("random", "constant", "alternating")))
+            if kind == "random":
+                columns.append(draw(st.lists(st.integers(0, 1), min_size=rows, max_size=rows)))
+            else:
+                first = draw(st.integers(0, 1))
+                step = 1 if kind == "alternating" else 0
+                columns.append([(first + step * r) % 2 for r in range(rows)])
+        runs = [run_from_bits(f"b{b}r{r}", labels, bits) for r, bits in enumerate(zip(*columns))]
+        matrices.append(band_matrix(whole_band(runs, label=f"band{b}"), runs))
+    return matrices, draw(st.integers(1, n + 1)), draw(st.integers(0, 3))
+
+
 def assert_well_formed(svg: str) -> None:
     minidom.parseString(svg)
-
-
-def cell_fills(svg: str, cell_px: int = 14) -> list[tuple[float, float, str]]:
-    """(x, y, fill) of every prediction cell in document order."""
-    size = f"{cell_px - 1:.2f}"
-    pattern = (
-        rf'<rect x="([-\d.]+)" y="([-\d.]+)" width="{re.escape(size)}" '
-        rf'height="{re.escape(size)}" fill="(#[0-9a-f]{{6}})"/>'
-    )
-    return [(float(x), float(y), fill) for x, y, fill in re.findall(pattern, svg)]
 
 
 class TestStyle:
@@ -201,6 +230,28 @@ class TestFairnessProfile:
         assert rendered.sidecar["sampled"] is False
         assert set(rendered.sidecar["columns"]) >= {"i0001", "i0002", "i0003"}
         assert len(rendered.sidecar["columns"]) == 4
+
+    @given(profile_bands(), st.sampled_from(("faithful", "summary")))
+    def test_run_rects_cover_exactly_the_oracle_cells(self, drawn, variant):
+        matrices, max_instances, seed = drawn
+        rendered = fairness_profile(matrices, variant=variant, max_instances=max_instances, seed=seed)
+        expected = oracle_fairness_cells(matrices, variant, rendered.sidecar["columns"])
+        assert sorted(cell_fills(rendered.svg)) == sorted(expected)
+        # nothing else is drawn: one swatch per band, then the two outcome swatches
+        rects = cell_rects(rendered.svg)
+        assert rendered.svg.count("<rect ") == len(rects) + len(matrices) + 2
+
+        # a cell opens a vertical run unless the cell above it has its fill
+        cells = set(expected)
+        runs = sum((x, y - CELL_PX, fill) not in cells for x, y, fill in expected)
+        assert len(rects) == runs
+        if variant == "summary":
+            band_tops, top = [], 48
+            for bm in matrices:
+                band_tops.append(top)
+                top += len(bm.member_ids) * CELL_PX + 8
+            per_block = Counter((x, sum(y >= t for t in band_tops)) for x, y, _, _ in rects)
+            assert max(per_block.values()) <= 2
 
     def test_validation(self):
         bands, runs = self._bands_and_runs()

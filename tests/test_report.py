@@ -6,17 +6,12 @@ import stat
 
 import pytest
 
-from helpers import two_band_runs
+from helpers import two_band_runs, write_labels_csv, write_manifest, write_predictions_csv
 from multimax import ingest
 from multimax.banding import BandingPolicy
 from multimax.core import decimal_display
 from multimax.errors import InvariantViolation
-from multimax.ingest import (
-    AuditManifest,
-    write_labels_csv,
-    write_manifest,
-    write_predictions_csv,
-)
+from multimax.ingest import AuditManifest
 from multimax.report import (
     audit,
     compare_policies,
