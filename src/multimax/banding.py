@@ -16,21 +16,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .core import (
     METRIC_KINDS,
+    ConfusionMatrix,
     ExactRatio,
     LabelVector,
     ModelRun,
     common_validation_index,
-    confusion_matrix,
     decimal_display,
     metric,
     round_scaled,
     runs_by_id,
 )
 from .errors import AnalysisError, InvariantViolation, UndefinedMetricError
+
+if TYPE_CHECKING:
+    from .fairness import BandMatrix
 
 BAND_MODES = ("strict", "rounded", "tolerance")
 
@@ -111,7 +114,6 @@ class PerformanceBand:
     label: str
     run_ids: tuple[str, ...]
     epsilon: ExactRatio
-    epsilon_display: str
     mode: str
     lo: Fraction | None = None
     hi: Fraction | None = None
@@ -181,7 +183,6 @@ def _strict_bands(runs: Sequence[ModelRun]) -> list[PerformanceBand]:
                 label=f"{value.numerator}/{value.denominator}",
                 run_ids=tuple(sorted(members)),
                 epsilon=ExactRatio.from_fraction(value),
-                epsilon_display=decimal_display(value.numerator, value.denominator),
                 mode="strict",
             )
         )
@@ -201,7 +202,6 @@ def _rounded_bands(runs: Sequence[ModelRun], digits: int) -> list[PerformanceBan
                 label=f"{key // scale}.{key % scale:0{digits}d}",
                 run_ids=tuple(sorted(members)),
                 epsilon=ExactRatio(key, scale),
-                epsilon_display=decimal_display(key, scale),
                 mode="rounded",
                 digits=digits,
             )
@@ -227,7 +227,6 @@ def _tolerance_bands(runs: Sequence[ModelRun], delta: Fraction) -> list[Performa
                 label=f"[{lo}, {hi}]",
                 run_ids=tuple(sorted(members)),
                 epsilon=ExactRatio.from_fraction(anchor),
-                epsilon_display=decimal_display(anchor.numerator, anchor.denominator),
                 mode="tolerance",
                 lo=lo,
                 hi=hi,
@@ -261,16 +260,14 @@ def partition(runs: Iterable[ModelRun], policy: BandingPolicy) -> Banding:
 
 
 def refine_lexicographic(
-    band: PerformanceBand,
-    runs: Sequence[ModelRun],
-    labels: LabelVector,
-    order: Sequence[str],
+    bm: BandMatrix, labels: LabelVector, order: Sequence[str]
 ) -> tuple[PerformanceBand, ...]:
     """Split a band into sub-bands by secondary metrics.
 
-    Members are grouped by their tuple of metric values in the given order
-    and sub-bands come back lexicographically descending (best first).  The
-    union of the sub-bands is exactly the input band.
+    Members are grouped by their tuple of metric values in the given order,
+    each computed from the member's validation counts in bm, and sub-bands
+    come back lexicographically descending (best first).  The union of the
+    sub-bands is exactly the input band.
     """
     order = tuple(order)
     if not order:
@@ -280,13 +277,11 @@ def refine_lexicographic(
             raise AnalysisError(f"unknown refinement metric {kind!r}")
     if len(set(order)) != len(order):
         raise AnalysisError("refinement metrics must not repeat")
-    lookup = runs_by_id(runs)
+    tps, fps = bm.member_counts(labels)
+    positives, negatives = labels.positives, labels.negatives
     groups: dict[tuple[Fraction, ...], list[str]] = {}
-    for run_id in band.run_ids:
-        if run_id not in lookup:
-            raise AnalysisError(f"band member {run_id!r} missing from the run collection")
-        run = lookup[run_id]
-        cm = confusion_matrix(run.preds_validation, labels)
+    for run_id, tp, fp in zip(bm.member_ids, tps.tolist(), fps.tolist()):
+        cm = ConfusionMatrix(tp=tp, fn=positives - tp, fp=fp, tn=negatives - fp)
         values = []
         for kind in order:
             try:
@@ -301,9 +296,9 @@ def refine_lexicographic(
             for kind, value in zip(order, key)
         )
         sub_bands.append(
-            replace(band, label=f"{band.label} [{detail}]", run_ids=tuple(sorted(groups[key])))
+            replace(bm.band, label=f"{bm.label} [{detail}]", run_ids=tuple(sorted(groups[key])))
         )
     returned = sorted(rid for sub in sub_bands for rid in sub.run_ids)
-    if returned != sorted(band.run_ids):
+    if returned != sorted(bm.band.run_ids):
         raise InvariantViolation("refinement lost or duplicated band members")
     return tuple(sub_bands)

@@ -19,14 +19,7 @@ from pathlib import Path
 
 from .banding import BandingPolicy, partition
 from .core import PredictionVector
-from .errors import (
-    AlignmentError,
-    AnalysisError,
-    InvariantViolation,
-    MultimaxError,
-    UndefinedMetricError,
-    ValidationError,
-)
+from .errors import MultimaxError, ValidationError
 from .fairness import band_matrix, disputable_instances, ensemble_predictions, fair_ensemble
 from .ingest import (
     PREDICTION_HEADER,
@@ -44,6 +37,7 @@ from .report import (
     analyse_bands,
     audit,
     compare_policies,
+    comparison_payload,
     default_comparison_policies,
     emit_json,
     load_inputs,
@@ -217,19 +211,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for line in table:
         print("  ".join(cell.ljust(width) for cell, width in zip(line, widths)).rstrip())
     if args.out:
-        payload = {
-            "kind": "policy_comparison",
-            "rows": [
-                {
-                    "policy": row.policy,
-                    "band_count": row.band_count,
-                    "top_band_label": row.top_band_label,
-                    "top_band_run_count": row.top_band_run_count,
-                    "top_band_ambiguity": ratio_payload(row.top_band_ambiguity),
-                }
-                for row in rows
-            ],
-        }
+        payload = {"kind": "policy_comparison", "rows": comparison_payload(rows)}
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         write_text_atomic({out: emit_json(payload)})
@@ -299,10 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (AnalysisError, AlignmentError, UndefinedMetricError, InvariantViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    except MultimaxError as exc:  # any future member of the hierarchy
+    except MultimaxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 

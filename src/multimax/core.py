@@ -278,7 +278,6 @@ class ModelRun:
     """
 
     run_id: str
-    family_tag: str
     preds_validation: PredictionVector
     preds_fairness: PredictionVector
     utility: ExactRatio
@@ -291,7 +290,6 @@ class ModelRun:
     def from_predictions(
         cls,
         run_id: str,
-        family_tag: str,
         preds_validation: PredictionVector,
         labels: LabelVector,
         preds_fairness: PredictionVector | None = None,
@@ -299,7 +297,6 @@ class ModelRun:
         utility = metric(confusion_matrix(preds_validation, labels), "accuracy")
         return cls(
             run_id=run_id,
-            family_tag=family_tag,
             preds_validation=preds_validation,
             preds_fairness=preds_fairness if preds_fairness is not None else preds_validation,
             utility=utility,

@@ -9,8 +9,9 @@ that grants the favourable outcome whenever any band member would.
 
 Every analysis reads a BandMatrix: the band's members stacked as one 0/1
 row each, built once per band by band_matrix.  Ambiguity and the disputed
-instances are column reductions of it, discrepancy and the ensemble's
-per-member deltas row reductions.
+instances are column reductions of it; discrepancy and each member's
+validation counts (BandMatrix.member_counts, which the ensemble's deltas and
+the tie-break refinement read) are row reductions.
 
 All rates are exact ratios over the fairness index; nothing is estimated
 except where run pairs are explicitly capped (and then the retained runs are
@@ -29,7 +30,6 @@ import numpy as np
 
 from .banding import PerformanceBand, refine_lexicographic
 from .core import (
-    ConfusionMatrix,
     ExactRatio,
     InstanceIndex,
     LabelVector,
@@ -96,6 +96,15 @@ class BandMatrix:
     def disputed(self) -> np.ndarray:
         """Fairness columns on which at least two members disagree."""
         return (self.fairness != self.fairness[0]).any(axis=0)
+
+    def member_counts(self, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
+        """Each member's validation true and false positives, as int64 row sums."""
+        if labels.index != self.validation_index:
+            raise AlignmentError("labels do not use the band's validation index")
+        y = labels.values
+        tp = (self.validation & y).sum(axis=1, dtype=np.int64)
+        fp = (self.validation > y).sum(axis=1, dtype=np.int64)
+        return tp, fp
 
 
 def band_matrix(band: PerformanceBand, runs: Sequence[ModelRun]) -> BandMatrix:
@@ -284,30 +293,32 @@ def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
     The ensemble predicts the favourable class for an instance exactly when
     some band member does, which removes every within-band dispute.  Its
     recall can only rise and its specificity can only fall relative to each
-    member; that is enforced as a postcondition, not assumed.  Each member's
-    true and false positives are row sums of the validation matrix.
+    member; that is enforced as a postcondition, not assumed.  A member's
+    deltas follow from the ensemble's gains in true and false positives over
+    it, g_tp and g_fp: accuracy (g_tp - g_fp)/n, recall g_tp/P and
+    specificity -g_fp/N.
     """
     preds = ensemble_predictions(bm, "validation")
-    if labels.index != preds.index:
-        raise AlignmentError("labels do not use the band's validation index")
+    tp, fp = bm.member_counts(labels)
     star = confusion_matrix(preds, labels)
     star_metrics = {kind: metric(star, kind) for kind in ("accuracy", "recall", "specificity")}
-    tps = (bm.validation & labels.values).sum(axis=1, dtype=np.int64).tolist()
-    fps = (bm.validation > labels.values).sum(axis=1, dtype=np.int64).tolist()
-    deltas: dict[str, MetricDeltas] = {}
-    for run_id, tp, fp in zip(bm.member_ids, tps, fps):
-        cm = ConfusionMatrix(tp=tp, fn=labels.positives - tp, fp=fp, tn=labels.negatives - fp)
-        delta = MetricDeltas(
-            accuracy=star_metrics["accuracy"].as_fraction() - metric(cm, "accuracy").as_fraction(),
-            recall=star_metrics["recall"].as_fraction() - metric(cm, "recall").as_fraction(),
-            specificity=star_metrics["specificity"].as_fraction()
-            - metric(cm, "specificity").as_fraction(),
+    g_tp = star.tp - tp
+    g_fp = star.fp - fp
+    losing = (g_tp < 0) | (g_fp < 0)
+    if losing.any():
+        raise InvariantViolation(
+            "ensemble must not lose recall or gain specificity against member "
+            f"{bm.member_ids[int(np.argmax(losing))]!r}"
         )
-        if delta.recall < 0 or delta.specificity > 0:
-            raise InvariantViolation(
-                f"ensemble must not lose recall or gain specificity against member {run_id!r}"
-            )
-        deltas[run_id] = delta
+    n, positives, negatives = labels.index.size, labels.positives, labels.negatives
+    deltas = {
+        run_id: MetricDeltas(
+            accuracy=Fraction(gain_tp - gain_fp, n),
+            recall=Fraction(gain_tp, positives),
+            specificity=Fraction(-gain_fp, negatives),
+        )
+        for run_id, gain_tp, gain_fp in zip(bm.member_ids, g_tp.tolist(), g_fp.tolist())
+    }
     return FairEnsembleReport(
         band_label=bm.label,
         preds=preds,
@@ -390,8 +401,8 @@ def analyse_band(
     grouping: Mapping[str, str] | None = None,
 ) -> BandAnalysis:
     """Every analysis of one band, from one matrix; tie_break refines it first."""
-    refinement = refine_lexicographic(band, runs, labels, tie_break) if tie_break else None
     bm = band_matrix(band, runs)
+    refinement = refine_lexicographic(bm, labels, tie_break) if tie_break else None
     return BandAnalysis(
         matrix=bm,
         unique_counts=unique_vector_counts(bm),

@@ -309,7 +309,6 @@ def load_predictions(
     path: Path,
     labels: LabelVector,
     value_map: Mapping[str, int],
-    family_tag: str = "ingested",
 ) -> tuple[ModelRun, ...]:
     """Load validation predictions as ModelRuns with recomputed utilities.
 
@@ -320,7 +319,6 @@ def load_predictions(
     return tuple(
         ModelRun.from_predictions(
             run_id=run_id,
-            family_tag=family_tag,
             preds_validation=PredictionVector(index, row),
             labels=labels,
         )
@@ -358,7 +356,6 @@ def attach_fairness(
     return tuple(
         ModelRun(
             run_id=run.run_id,
-            family_tag=run.family_tag,
             preds_validation=run.preds_validation,
             preds_fairness=fairness[run.run_id],
             utility=run.utility,
@@ -464,6 +461,13 @@ def load_manifest(path: Path) -> AuditManifest:
         policy = BandingPolicy.parse(values["band"], tie_break=tie_break)
     except ValueError as exc:
         raise ValidationError(str(exc), path=str(path), line=value_lines["band"]) from None
+    # only the keys present are passed, so AuditManifest holds every default
+    options: dict = {}
+    for key in ("discrepancy_cap", "seed", "profile_top_n", "profile_max_instances"):
+        if key in values:
+            options[key] = _parse_int(values[key], key, path, value_lines[key])
+    if "profile_variant" in values:
+        options["profile_variant"] = values["profile_variant"]
     return AuditManifest(
         labels_path=resolve("labels"),
         predictions_path=resolve("predictions"),
@@ -473,20 +477,8 @@ def load_manifest(path: Path) -> AuditManifest:
         if "fairness_predictions" in values
         else None,
         group_map_path=resolve("group_map") if "group_map" in values else None,
-        discrepancy_cap=_parse_int(values["discrepancy_cap"], "discrepancy_cap", path, value_lines["discrepancy_cap"])
-        if "discrepancy_cap" in values
-        else 500,
-        seed=_parse_int(values["seed"], "seed", path, value_lines["seed"]) if "seed" in values else 0,
-        profile_top_n=_parse_int(values["profile_top_n"], "profile_top_n", path, value_lines["profile_top_n"])
-        if "profile_top_n" in values
-        else 8,
-        profile_variant=values.get("profile_variant", "summary"),
-        profile_max_instances=_parse_int(
-            values["profile_max_instances"], "profile_max_instances", path, value_lines["profile_max_instances"]
-        )
-        if "profile_max_instances" in values
-        else 250,
         provenance=provenance,
+        **options,
     )
 
 

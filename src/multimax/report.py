@@ -92,8 +92,7 @@ def load_inputs(
     and the group map (None when the manifest names none).
     """
     labels, value_map = read_labels(manifest.labels_path, manifest.favourable_label)
-    family_tag = manifest.provenance.get("family", "ingested")
-    runs = load_predictions(manifest.predictions_path, labels, value_map, family_tag=family_tag)
+    runs = load_predictions(manifest.predictions_path, labels, value_map)
     if manifest.fairness_predictions_path is not None:
         _, fairness_vectors = load_fairness_predictions(
             manifest.fairness_predictions_path, value_map
@@ -147,6 +146,20 @@ def compare_policies(
             )
         )
     return tuple(rows)
+
+
+def comparison_payload(rows: Sequence[PolicyComparison]) -> list[dict]:
+    """The policy comparison rows as they appear in the report and in compare --out."""
+    return [
+        {
+            "policy": row.policy,
+            "band_count": row.band_count,
+            "top_band_label": row.top_band_label,
+            "top_band_run_count": row.top_band_run_count,
+            "top_band_ambiguity": ratio_payload(row.top_band_ambiguity),
+        }
+        for row in rows
+    ]
 
 
 def default_comparison_policies(policy: BandingPolicy) -> tuple[BandingPolicy, ...]:
@@ -293,16 +306,7 @@ def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> Audi
         "baseline_accuracy": ratio_payload(ExactRatio(labels.positives, labels.index.size)),
         "is_partition": banding.is_partition,
         "bands": [_band_payload(analysis) for analysis in analyses],
-        "policy_comparison": [
-            {
-                "policy": row.policy,
-                "band_count": row.band_count,
-                "top_band_label": row.top_band_label,
-                "top_band_run_count": row.top_band_run_count,
-                "top_band_ambiguity": ratio_payload(row.top_band_ambiguity),
-            }
-            for row in comparison
-        ],
+        "policy_comparison": comparison_payload(comparison),
     }
     validate_payload(payload)
     return AuditOutcome(

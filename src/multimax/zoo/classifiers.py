@@ -1,6 +1,6 @@
 """Small from-scratch classifiers over 2-D points.
 
-Each classifier exposes fit / predict / get_params (decision_function too
+Each classifier exposes fit / predict (decision_function too
 where a margin exists).  predict takes an (n, 2) array and returns uint8 0/1
 with 1 the favourable class.  Determinism is part of the contract: stable
 tie-breaking everywhere, explicit seeds wherever randomness is involved.
@@ -40,9 +40,6 @@ class HalfplaneClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) > 0).astype(np.uint8)
-
-    def get_params(self) -> dict:
-        return {"angle": self.angle, "offset": self.offset}
 
     @classmethod
     def from_line(cls, a: float, b: float, c: float) -> "HalfplaneClassifier":
@@ -100,9 +97,6 @@ class PolynomialBoundaryClassifier:
             coefficients=tuple(c + float(n) for c, n in zip(self.coefficients, noise)),
         )
 
-    def get_params(self) -> dict:
-        return {"degree": self.degree, "coefficients": self.coefficients}
-
 
 class NearestNeighborsClassifier:
     """k nearest neighbours by euclidean distance, majority vote.
@@ -158,9 +152,6 @@ class NearestNeighborsClassifier:
             raise ValueError(f"row {row} out of range")
         keep = np.arange(len(self._train_X)) != row
         return NearestNeighborsClassifier(k=self.k).fit(self._train_X[keep], self._train_y[keep])
-
-    def get_params(self) -> dict:
-        return {"k": self.k}
 
 
 @dataclass
@@ -294,6 +285,3 @@ class AxisAlignedTreeClassifier:
             return 1 + max(measure(node.left), measure(node.right))
 
         return measure(self._root)
-
-    def get_params(self) -> dict:
-        return {"max_depth": self.max_depth, "seed": self.seed}

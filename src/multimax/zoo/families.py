@@ -169,7 +169,6 @@ def enumerate_family(
         )
         run = ModelRun.from_predictions(
             run_id=f"{spec.family_tag}-{i:0{width}d}",
-            family_tag=spec.family_tag,
             preds_validation=preds_val,
             labels=validation.labels,
             preds_fairness=preds_fair,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import itertools
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,9 +23,10 @@ from multimax.core import (
     ModelRun,
     PredictionVector,
     confusion_matrix,
+    decimal_display,
     metric,
 )
-from multimax.errors import ValidationError
+from multimax.errors import UndefinedMetricError, ValidationError
 from multimax.fairness import MetricDeltas, band_matrix
 from multimax.ingest import (
     GROUP_HEADER,
@@ -58,7 +60,6 @@ def run_from_bits(
         )
     return ModelRun.from_predictions(
         run_id=run_id,
-        family_tag="test",
         preds_validation=preds,
         labels=labels,
         preds_fairness=fair,
@@ -72,7 +73,6 @@ def whole_band(runs, label: str = "band") -> PerformanceBand:
         label=label,
         run_ids=tuple(r.run_id for r in run_list),
         epsilon=run_list[0].utility,
-        epsilon_display=run_list[0].utility.display(),
         mode="strict",
     )
 
@@ -207,6 +207,31 @@ def oracle_fair_ensemble(band, runs, labels):
             *(star_metrics[kind].as_fraction() - metric(cm, kind).as_fraction() for kind in kinds)
         )
     return tuple(star_metrics[kind] for kind in kinds), deltas
+
+
+def oracle_refine_lexicographic(band, runs, labels, order):
+    """Sub-bands by secondary metrics, from one run lookup and confusion matrix per member."""
+    lookup = {run.run_id: run for run in runs}
+    groups = {}
+    for run_id in band.run_ids:
+        cm = confusion_matrix(lookup[run_id].preds_validation, labels)
+        values = []
+        for kind in order:
+            try:
+                values.append(metric(cm, kind).as_fraction())
+            except UndefinedMetricError as exc:
+                raise UndefinedMetricError(f"run {run_id!r}: {exc}") from None
+        groups.setdefault(tuple(values), []).append(run_id)
+    sub_bands = []
+    for key in sorted(groups, reverse=True):
+        detail = ", ".join(
+            f"{kind}={decimal_display(value.numerator, value.denominator)}"
+            for kind, value in zip(order, key)
+        )
+        sub_bands.append(
+            replace(band, label=f"{band.label} [{detail}]", run_ids=tuple(sorted(groups[key])))
+        )
+    return tuple(sub_bands)
 
 
 # ------------------------------------------------------ fairness profile cells
@@ -365,7 +390,7 @@ def oracle_read_prediction_table(path, value_map):
     return run_order, per_run, instance_first_seen
 
 
-def oracle_load_predictions(path, labels, value_map, family_tag="ingested"):
+def oracle_load_predictions(path, labels, value_map):
     run_order, per_run, _ = oracle_read_prediction_table(path, value_map)
     index = labels.index
     runs = []
@@ -385,9 +410,7 @@ def oracle_load_predictions(path, labels, value_map, family_tag="ingested"):
             )
         preds = PredictionVector(index, tuple(bucket[i] for i in index.ids))
         runs.append(
-            ModelRun.from_predictions(
-                run_id=run_id, family_tag=family_tag, preds_validation=preds, labels=labels
-            )
+            ModelRun.from_predictions(run_id=run_id, preds_validation=preds, labels=labels)
         )
     return tuple(runs)
 

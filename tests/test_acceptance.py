@@ -84,7 +84,9 @@ def test_c01_borderline_band_refines_into_error_profiles():
     }
     assert matrices == {(48, 2, 0, 50), (49, 1, 1, 49), (50, 0, 2, 48)}
 
-    sub_bands = refine_lexicographic(band, scenario.runs, labels, ("specificity", "recall"))
+    sub_bands = refine_lexicographic(
+        band_matrix(band, scenario.runs), labels, ("specificity", "recall")
+    )
     assert len(sub_bands) == 3
     assert all(sub.run_count == 1 for sub in sub_bands)
     assert time.perf_counter() - start < 1.0
@@ -268,7 +270,6 @@ def test_c09_region_estimate_converges_at_grid_rate():
         label="1/1",
         run_ids=("sa", "sb"),
         epsilon=ExactRatio(1, 1),
-        epsilon_display="1/1",
         mode="strict",
     )
     box = ((0.0, width), (0.0, 2.0))

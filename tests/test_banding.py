@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import make_index, run_from_bits
+from helpers import make_index, oracle_refine_lexicographic, run_from_bits, whole_band
 from multimax.banding import Banding, BandingPolicy, PerformanceBand, partition, refine_lexicographic
-from multimax.core import ExactRatio, LabelVector
-from multimax.errors import AlignmentError, AnalysisError, UndefinedMetricError
+from multimax.core import METRIC_KINDS, ExactRatio, LabelVector
+from multimax.errors import AlignmentError, AnalysisError, MultimaxError, UndefinedMetricError
+from multimax.fairness import band_matrix
 
 
 def runs_with_accuracies(numerators, den, prefix="r"):
@@ -183,7 +184,6 @@ class TestBandObject:
                 label="x",
                 run_ids=("b", "a"),
                 epsilon=ExactRatio(1, 2),
-                epsilon_display="0.5000",
                 mode="strict",
             )
 
@@ -193,7 +193,6 @@ class TestBandObject:
                 label="x",
                 run_ids=("a",),
                 epsilon=ExactRatio(1, 2),
-                epsilon_display="0.5000",
                 mode="rounded",
             )
 
@@ -211,22 +210,22 @@ class TestRefinement:
 
     def test_splits_by_secondary_metric(self):
         band, runs, labels = self._mixed_band()
-        subs = refine_lexicographic(band, runs, labels, ("specificity",))
+        subs = refine_lexicographic(band_matrix(band, runs), labels, ("specificity",))
         assert [s.run_ids for s in subs] == [("hs",), ("hr",)]
         assert subs[0].label == "3/4 [specificity=1.0000]"
-        subs = refine_lexicographic(band, runs, labels, ("recall",))
+        subs = refine_lexicographic(band_matrix(band, runs), labels, ("recall",))
         assert [s.run_ids for s in subs] == [("hr",), ("hs",)]
 
     def test_union_is_preserved(self):
         band, runs, labels = self._mixed_band()
-        subs = refine_lexicographic(band, runs, labels, ("specificity", "recall"))
+        subs = refine_lexicographic(band_matrix(band, runs), labels, ("specificity", "recall"))
         returned = sorted(rid for s in subs for rid in s.run_ids)
         assert returned == sorted(band.run_ids)
 
     def test_identical_metrics_stay_together(self):
         runs, labels = runs_with_accuracies([98, 98], 100)
         band = partition(runs, BandingPolicy(mode="strict")).top
-        subs = refine_lexicographic(band, runs, labels, ("recall",))
+        subs = refine_lexicographic(band_matrix(band, runs), labels, ("recall",))
         assert len(subs) == 1
         assert subs[0].run_ids == band.run_ids
 
@@ -234,21 +233,47 @@ class TestRefinement:
         runs, labels = runs_with_accuracies([98], 100)
         band = partition(runs, BandingPolicy(mode="strict")).top
         with pytest.raises(UndefinedMetricError, match="r0000"):
-            refine_lexicographic(band, runs, labels, ("specificity",))
+            refine_lexicographic(band_matrix(band, runs), labels, ("specificity",))
 
     def test_order_validation(self):
         band, runs, labels = self._mixed_band()
         with pytest.raises(AnalysisError):
-            refine_lexicographic(band, runs, labels, ())
+            refine_lexicographic(band_matrix(band, runs), labels, ())
         with pytest.raises(AnalysisError):
-            refine_lexicographic(band, runs, labels, ("recall", "recall"))
+            refine_lexicographic(band_matrix(band, runs), labels, ("recall", "recall"))
         with pytest.raises(AnalysisError):
-            refine_lexicographic(band, runs, labels, ("nope",))
+            refine_lexicographic(band_matrix(band, runs), labels, ("nope",))
 
     def test_missing_member_detected(self):
         band, runs, labels = self._mixed_band()
         with pytest.raises(AnalysisError, match="hs"):
-            refine_lexicographic(band, runs[:1], labels, ("recall",))
+            band_matrix(band, runs[:1])
+
+    @given(st.data())
+    def test_matches_per_run_oracle(self, data):
+        n = data.draw(st.integers(1, 12))
+        bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        labels = LabelVector(make_index(n), data.draw(bits))
+        runs = []
+        for k in range(data.draw(st.integers(1, 6))):
+            # a member with no favourable prediction leaves precision undefined
+            silent = data.draw(st.booleans())
+            runs.append(run_from_bits(f"r{k}", labels, [0] * n if silent else data.draw(bits)))
+        members = data.draw(
+            st.lists(st.sampled_from(runs), min_size=1, unique_by=lambda r: r.run_id)
+        )
+        band = whole_band(members)
+        order = tuple(data.draw(st.lists(st.sampled_from(METRIC_KINDS), min_size=1, unique=True)))
+
+        def outcome(refine, *args):
+            try:
+                return refine(*args)
+            except MultimaxError as exc:
+                return type(exc), str(exc)
+
+        assert outcome(refine_lexicographic, band_matrix(band, runs), labels, order) == outcome(
+            oracle_refine_lexicographic, band, runs, labels, order
+        )
 
 
 def test_banding_is_iterable_container():

@@ -250,7 +250,7 @@ class TestFairModelCommand:
         ids = ("a,b", 'd"q', "plain")
         labels = LabelVector(InstanceIndex(ids), (1, 0, 1))
         runs = [
-            ModelRun.from_predictions(run_id, "t", PredictionVector(labels.index, bits), labels)
+            ModelRun.from_predictions(run_id, PredictionVector(labels.index, bits), labels)
             for run_id, bits in (("r1", (1, 0, 0)), ("r2", (0, 0, 1)))
         ]
         write_labels_csv(tmp_path / "labels.csv", labels)

@@ -274,7 +274,6 @@ class TestModelRun:
         good = run_from_bits("r0", labels, (1, 1, 0, 0))
         bad = ModelRun(
             run_id="r0",
-            family_tag="test",
             preds_validation=good.preds_validation,
             preds_fairness=None,
             utility=ExactRatio(1, 2),

@@ -135,16 +135,6 @@ class TestPredictions:
         assert [r.run_id for r in runs] == ["r2", "r1"]
         assert runs[0].utility == ExactRatio(2, 3)
         assert runs[1].utility == ExactRatio(3, 3)
-        assert all(r.family_tag == "ingested" for r in runs)
-
-    def test_family_tag_passthrough(self, tmp_path):
-        labels, value_map = self._labels(tmp_path)
-        path = write(
-            tmp_path / "preds.csv",
-            "run_id,instance_id,prediction\nr,a,1\nr,b,1\nr,c,0\n",
-        )
-        (run,) = load_predictions(path, labels, value_map, family_tag="linear")
-        assert run.family_tag == "linear"
 
     def test_unknown_value(self, tmp_path):
         labels, value_map = self._labels(tmp_path)
@@ -443,7 +433,7 @@ class TestPredictionWriter:
         # whitespace comes back unchanged; the writers refuse the others.
         idx = InstanceIndex(("a b", "c"))
         labels = LabelVector(idx, (1, 0))
-        run = ModelRun.from_predictions("run 1", "t", PredictionVector(idx, (1, 1)), labels)
+        run = ModelRun.from_predictions("run 1", PredictionVector(idx, (1, 1)), labels)
         write_labels_csv(tmp_path / "labels.csv", labels)
         write_predictions_csv(tmp_path / "preds.csv", [run])
         loaded_labels, value_map = read_labels(tmp_path / "labels.csv", "1")
@@ -454,7 +444,7 @@ class TestPredictionWriter:
         padded = LabelVector(InstanceIndex((" a", "b ")), (1, 0))
         with pytest.raises(ValidationError, match="instance id ' a' has surrounding whitespace"):
             write_labels_csv(tmp_path / "padded_labels.csv", padded)
-        padded_run = ModelRun.from_predictions("r", "t", PredictionVector(padded.index, (1, 1)), padded)
+        padded_run = ModelRun.from_predictions("r", PredictionVector(padded.index, (1, 1)), padded)
         with pytest.raises(ValidationError, match="instance id ' a'"):
             write_predictions_csv(tmp_path / "padded_preds.csv", [padded_run])
         with pytest.raises(ValidationError, match="run id 'run 1 '"):

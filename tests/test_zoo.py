@@ -294,7 +294,6 @@ class TestRegions:
             label="synthetic",
             run_ids=tuple(sorted(run_ids)),
             epsilon=ExactRatio(1, 1),
-            epsilon_display="1.0000",
             mode="strict",
         )
 
@@ -365,7 +364,6 @@ class TestFamilies:
         family = FamilySpec(kind="linear", lines=((0.0, -0.5), (0.0, 0.5)))
         models = enumerate_family(family, data, data)
         assert [m.run.run_id for m in models] == ["linear-000", "linear-001"]
-        assert all(m.run.family_tag == "linear" for m in models)
         assert all(m.run.utility == ExactRatio(4, 4) for m in models)
 
     def test_dedupe_keeps_first_and_preserves_ids(self):
