@@ -17,7 +17,6 @@ from .core import (
     PredictionVector,
     confusion_matrix,
     metric,
-    verify_utility,
 )
 from .errors import (
     AlignmentError,
@@ -33,7 +32,6 @@ from .fairness import (
     DiscrepancyStats,
     DisputableSet,
     FairEnsembleReport,
-    FairnessVerdict,
     ambiguity,
     ambiguity_by_group,
     analyse_band,
@@ -42,7 +40,6 @@ from .fairness import (
     disputable_instances,
     ensemble_predictions,
     fair_ensemble,
-    is_individually_fair,
     unique_vector_counts,
 )
 from .ingest import AuditManifest, load_manifest, load_predictions, read_labels
@@ -65,7 +62,6 @@ __all__ = [
     "DisputableSet",
     "ExactRatio",
     "FairEnsembleReport",
-    "FairnessVerdict",
     "InstanceIndex",
     "InvariantViolation",
     "LabelVector",
@@ -89,7 +85,6 @@ __all__ = [
     "ensemble_predictions",
     "fair_ensemble",
     "fairness_profile",
-    "is_individually_fair",
     "load_inputs",
     "load_manifest",
     "load_predictions",
@@ -101,5 +96,4 @@ __all__ = [
     "run_audit",
     "stability_profile",
     "unique_vector_counts",
-    "verify_utility",
 ]

@@ -2,9 +2,10 @@
 
 Subcommands: audit, profile, fair-model, zoo, compare.  Exit codes are part
 of the contract: 0 on success, 2 when inputs fail validation (files,
-manifest, arguments), 3 when an analysis cannot be computed.  Every
-subcommand that reads a manifest validates all of its input files, but runs
-only the stages whose results it prints, so it exits 3 only for those.  The
+manifest, arguments) or an output cannot be written, 3 when an analysis
+cannot be computed.  Every subcommand that reads a manifest validates all of
+its input files, but runs only the stages whose results it prints, so it
+exits 3 only for those.  The
 MULTIMAX_SEED environment variable overrides the manifest seed everywhere,
 so a recorded report can be reproduced without editing files.
 """
@@ -14,18 +15,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import repeat
+from dataclasses import replace
 from pathlib import Path
 
 from .banding import BandingPolicy, partition
-from .core import PredictionVector
 from .errors import MultimaxError, ValidationError
 from .fairness import band_matrix, disputable_instances, ensemble_predictions, fair_ensemble
 from .ingest import (
-    PREDICTION_HEADER,
     AuditManifest,
-    _check_written_ids,
-    csv_text,
+    ensemble_csv,
     labels_csv,
     load_manifest,
     manifest_text,
@@ -63,11 +61,11 @@ def _env_seed() -> int | None:
         raise ValidationError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
-def _load(args: argparse.Namespace) -> tuple[AuditManifest, int]:
-    """The manifest and the effective seed; a bad MULTIMAX_SEED fails here."""
+def _load(args: argparse.Namespace) -> AuditManifest:
+    """The manifest with the effective seed; a bad MULTIMAX_SEED fails here."""
     manifest = load_manifest(Path(args.manifest))
     seed = _env_seed()
-    return manifest, manifest.seed if seed is None else seed
+    return manifest if seed is None else replace(manifest, seed=seed)
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -85,16 +83,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    manifest, seed = _load(args)
+    manifest = _load(args)
     labels, runs, grouping = load_inputs(manifest)
     banding = partition(runs, manifest.policy)
     if args.kind == "multiplicity_panel":
-        render = multiplicity_panel(analyse_bands(manifest, seed, banding, labels, runs, grouping))
+        render = multiplicity_panel(analyse_bands(manifest, banding, labels, runs, grouping))
     else:
         top = [band_matrix(band, runs) for band in banding.bands[: manifest.profile_top_n]]
-        render = top_band_profile(args.kind, manifest, seed, top)
+        render = top_band_profile(args.kind, manifest, top)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     sidecar = out.parent / (out.stem + ".sidecar.json")
     write_text_atomic({out: render.svg, sidecar: emit_json(render.sidecar)})
     print(f"wrote {out}")
@@ -102,24 +99,15 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _ensemble_csv(preds: PredictionVector) -> str:
-    """The fair ensemble's predictions in long form, as a prediction file."""
-    _check_written_ids("instance", preds.index.ids)
-    rows = zip(repeat("fair-ensemble"), preds.index.ids, preds.values.tolist())
-    return csv_text(PREDICTION_HEADER, rows, lineterminator="\n")
-
-
 def _cmd_fair_model(args: argparse.Namespace) -> int:
-    manifest, _ = _load(args)
+    manifest = _load(args)
     labels, runs, _ = load_inputs(manifest)
     banding = partition(runs, manifest.policy)
-    wanted = args.band
-    for band in banding:
-        if band.label == wanted:
-            break
-    else:
+    try:
+        band = banding.band(args.band)
+    except KeyError:
         known = ", ".join(b.label for b in banding)
-        raise ValidationError(f"no band labelled {wanted!r}; bands: {known}")
+        raise ValidationError(f"no band labelled {args.band!r}; bands: {known}") from None
     bm = band_matrix(band, runs)
     ensemble = fair_ensemble(bm, labels)
     fair_fairness = ensemble_predictions(bm, "fairness")
@@ -135,11 +123,10 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     files = {
         out_dir / "fair_model.json": emit_json(payload),
-        out_dir / "fair_model_validation.csv": _ensemble_csv(ensemble.preds),
+        out_dir / "fair_model_validation.csv": ensemble_csv(ensemble.preds),
     }
     if fair_fairness.index != ensemble.preds.index:
-        files[out_dir / "fair_model_fairness.csv"] = _ensemble_csv(fair_fairness)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        files[out_dir / "fair_model_fairness.csv"] = ensemble_csv(fair_fairness)
     write_text_atomic(files)
     print(f"band {band.label}: accuracy {ensemble.accuracy}, recall {ensemble.recall}, specificity {ensemble.specificity}")
     print(f"wrote {out_dir / 'fair_model.json'}")
@@ -157,7 +144,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
         "favourable_label": "1",
         "band": args.banding,
         "seed": str(seed),
-        "provenance.family": scenario.family.family_tag,
+        "provenance.family": scenario.family.kind,
         "provenance.scenario": scenario.name,
     }
     if args.tie_break:
@@ -175,7 +162,6 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     }
     if scenario.fairness is not None:
         files[out_dir / "fairness_predictions.csv"] = predictions_csv(scenario.runs, which="fairness")
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_text_atomic(files)
     print(f"scenario {scenario.name}: {scenario.notes}")
     print(f"{len(scenario.runs)} runs over {scenario.validation.size} validation instances")
@@ -185,7 +171,7 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    manifest, _ = _load(args)
+    manifest = _load(args)
     _, runs, _ = load_inputs(manifest)
     if args.policies:
         try:
@@ -213,7 +199,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     if args.out:
         payload = {"kind": "policy_comparison", "rows": comparison_payload(rows)}
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
         write_text_atomic({out: emit_json(payload)})
         print(f"wrote {out}")
     return EXIT_OK
@@ -280,6 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:
+        # inputs turn read failures into ValidationError, so this is an output
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except MultimaxError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,9 @@ UNFAVOURABLE = 0
 
 METRIC_KINDS = ("accuracy", "recall", "specificity", "precision")
 
+# decimal places of every rounded number in reports and CLI output
+DISPLAY_DIGITS = 4
+
 
 def round_scaled(num: int, den: int, digits: int) -> int:
     """Round the non-negative ratio num/den to `digits` decimal places.
@@ -45,13 +48,11 @@ def round_scaled(num: int, den: int, digits: int) -> int:
     return q
 
 
-def decimal_display(num: int, den: int, digits: int = 4) -> str:
-    """Exact decimal rendering of num/den with a fixed number of places."""
-    q = round_scaled(num, den, digits)
-    if digits == 0:
-        return str(q)
-    scale = 10**digits
-    return f"{q // scale}.{q % scale:0{digits}d}"
+def decimal_display(num: int, den: int) -> str:
+    """Exact decimal rendering of num/den with DISPLAY_DIGITS places."""
+    q = round_scaled(num, den, DISPLAY_DIGITS)
+    scale = 10**DISPLAY_DIGITS
+    return f"{q // scale}.{q % scale:0{DISPLAY_DIGITS}d}"
 
 
 @total_ordering
@@ -83,8 +84,8 @@ class ExactRatio:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)
 
-    def display(self, digits: int = 4) -> str:
-        return decimal_display(self.num, self.den, digits)
+    def display(self) -> str:
+        return decimal_display(self.num, self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactRatio):
@@ -301,11 +302,6 @@ class ModelRun:
             preds_fairness=preds_fairness if preds_fairness is not None else preds_validation,
             utility=utility,
         )
-
-
-def verify_utility(run: ModelRun, labels: LabelVector) -> bool:
-    """True when the stored utility matches a fresh recomputation."""
-    return run.utility == metric(confusion_matrix(run.preds_validation, labels), "accuracy")
 
 
 def common_validation_index(runs: Sequence[ModelRun]) -> InstanceIndex:

@@ -118,7 +118,6 @@ def band_matrix(band: PerformanceBand, runs: Sequence[ModelRun]) -> BandMatrix:
 class DisputableSet:
     """Instances on which the band's members disagree, with the vote split."""
 
-    band_label: str
     instance_ids: tuple[str, ...]
     per_instance_vote: dict[str, tuple[int, int]]  # id -> (favourable, unfavourable)
 
@@ -139,45 +138,12 @@ def disputable_instances(bm: BandMatrix) -> DisputableSet:
         instance_id = bm.fairness_index.ids[pos]
         ids.append(instance_id)
         votes[instance_id] = (int(ones[pos]), len(bm.member_ids) - int(ones[pos]))
-    return DisputableSet(band_label=bm.label, instance_ids=tuple(ids), per_instance_vote=votes)
+    return DisputableSet(instance_ids=tuple(ids), per_instance_vote=votes)
 
 
 def ambiguity(bm: BandMatrix) -> ExactRatio:
     """Disputable fraction of the fairness index, as an exact ratio."""
     return ExactRatio(int(np.count_nonzero(bm.disputed)), bm.fairness_index.size)
-
-
-@dataclass(frozen=True)
-class FairnessVerdict:
-    """Whether one run treats every fairness instance like its whole band."""
-
-    run_id: str
-    band_label: str
-    fair: bool
-    witness_run: str | None = None
-    witness_instance: str | None = None
-
-
-def is_individually_fair(run_id: str, bm: BandMatrix) -> FairnessVerdict:
-    """Check one band member against all the others.
-
-    The run is individually fair when no other member contradicts it on any
-    fairness instance; otherwise the verdict carries the first disagreeing
-    (instance, run) pair in index order as a witness.
-    """
-    if run_id not in bm.member_ids:
-        raise AnalysisError(f"run {run_id!r} is not a member of band {bm.label!r}")
-    if not bm.disputed.any():
-        return FairnessVerdict(run_id=run_id, band_label=bm.label, fair=True)
-    pos = int(np.argmax(bm.disputed))
-    column = bm.fairness[:, pos]
-    return FairnessVerdict(
-        run_id=run_id,
-        band_label=bm.label,
-        fair=False,
-        witness_run=bm.member_ids[int(np.argmax(column != column[bm.member_ids.index(run_id)]))],
-        witness_instance=bm.fairness_index.ids[pos],
-    )
 
 
 @dataclass(frozen=True)
@@ -193,14 +159,16 @@ class DiscrepancyStats:
     from the recorded seed alone.
     """
 
-    band_label: str
     total_runs: int
     cap: int
     seed: int
     run_ids: tuple[str, ...]
     instance_count: int
     pair_counts: dict[int, int]
-    single_run: bool
+
+    @property
+    def single_run(self) -> bool:
+        return self.total_runs == 1
 
     @property
     def sampled_runs(self) -> int:
@@ -247,14 +215,12 @@ def discrepancy(bm: BandMatrix, cap: int = 500, seed: int = 0) -> DiscrepancySta
     per_pair = np.concatenate([(x[i + 1 :] != x[i]).sum(axis=1) for i in range(len(rows))])
     histogram = np.bincount(per_pair).tolist()
     return DiscrepancyStats(
-        band_label=bm.label,
         total_runs=len(member_ids),
         cap=cap,
         seed=seed,
         run_ids=tuple(member_ids[pos] for pos in rows),
         instance_count=bm.fairness_index.size,
         pair_counts={k: c for k, c in enumerate(histogram) if c},
-        single_run=len(member_ids) == 1,
     )
 
 
@@ -279,7 +245,6 @@ class MetricDeltas:
 class FairEnsembleReport:
     """The band's max-ensemble on the validation set, with member-wise deltas."""
 
-    band_label: str
     preds: PredictionVector
     accuracy: ExactRatio
     recall: ExactRatio
@@ -320,7 +285,6 @@ def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
         for run_id, gain_tp, gain_fp in zip(bm.member_ids, g_tp.tolist(), g_fp.tolist())
     }
     return FairEnsembleReport(
-        band_label=bm.label,
         preds=preds,
         accuracy=star_metrics["accuracy"],
         recall=star_metrics["recall"],

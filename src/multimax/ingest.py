@@ -519,6 +519,13 @@ def predictions_csv(runs: Iterable[ModelRun], which: str = "validation") -> str:
     return csv_text(PREDICTION_HEADER, chain.from_iterable(rows))
 
 
+def ensemble_csv(preds: PredictionVector) -> str:
+    """A fair ensemble's predictions in long form, as run "fair-ensemble" of a prediction file."""
+    _check_written_ids("instance", preds.index.ids)
+    rows = zip(repeat("fair-ensemble"), preds.index.ids, preds.values.tolist())
+    return csv_text(PREDICTION_HEADER, rows, lineterminator="\n")
+
+
 def manifest_text(entries: Mapping[str, str]) -> str:
     """A flat manifest; an entry load_manifest would read back changed is refused.
 
@@ -540,16 +547,18 @@ def manifest_text(entries: Mapping[str, str]) -> str:
 def write_text_atomic(files: Mapping[Path, str]) -> None:
     """Write each {path: text} entry as UTF-8 through a temporary file beside it.
 
-    Every temporary file is complete before the first is renamed over its
-    path, and any failure before the renames removes them all, so either no
-    path changes or every one is renamed into place.  A failure between two
-    renames (a refused rename, a crash) leaves the earlier paths new and the
-    later ones old; the temporary files left are removed.
+    Missing parent directories are created first.  Every temporary file is
+    complete before the first is renamed over its path, and any failure
+    before the renames removes them all, so either no path changes or every
+    one is renamed into place.  A failure between two renames (a refused
+    rename, a crash) leaves the earlier paths new and the later ones old;
+    the temporary files left are removed.
     """
     temps: list[tuple[Path, Path]] = []
     try:
         for path, text in files.items():
             path = Path(path)
+            path.parent.mkdir(parents=True, exist_ok=True)
             tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
             handle = open(tmp, "x", encoding="utf-8", newline="")
             temps.append((tmp, path))

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import AlignmentError, AnalysisError
 from .fairness import BandAnalysis, BandMatrix, _hash_rank, prediction_vector_groups
 
-# colour-blind-friendly cycle; dashes disambiguate once colours repeat
+# colour-blind-friendly cycle, repeated past its 12 colours
 BAND_PALETTE = (
     "#0173b2",
     "#de8f05",
@@ -40,7 +40,6 @@ BAND_PALETTE = (
     "#b2182b",
     "#2166ac",
 )
-DASH_PATTERNS = ("", "6,3", "2,2", "8,2,2,2")
 # mix weights towards white for the two prediction cells; they stay well apart
 # so the two outcomes survive both printing and mild colour-vision loss
 FAVOURABLE_SHADE = 0.95
@@ -54,10 +53,6 @@ MAX_HEIGHT = 1200
 
 def band_colour(position: int) -> str:
     return BAND_PALETTE[position % len(BAND_PALETTE)]
-
-
-def band_dash(position: int) -> str:
-    return DASH_PATTERNS[(position // len(BAND_PALETTE)) % len(DASH_PATTERNS)]
 
 
 def prediction_fill(position: int, favourable: bool) -> str:
@@ -105,12 +100,10 @@ class _SvgDoc:
             f'stroke="{stroke}" stroke-width="1"/>'
         )
 
-    def polyline(self, points: Sequence[tuple[float, float]], stroke: str, dash: str = "") -> None:
+    def polyline(self, points: Sequence[tuple[float, float]], stroke: str) -> None:
         coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.elements.append(
-            f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
-            f'stroke-width="1.5"{dash_attr}/>'
+            f'<polyline points="{coords}" fill="none" stroke="{stroke}" stroke-width="1.5"/>'
         )
 
     def circle(self, cx: float, cy: float, r: float, fill: str) -> None:

@@ -13,7 +13,7 @@ the same audit produces byte-identical reports and artefacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -104,28 +104,23 @@ def load_inputs(
 
 def analyse_bands(
     manifest: AuditManifest,
-    seed: int,
     banding: Banding,
     labels: LabelVector,
     runs: Sequence[ModelRun],
     grouping: Mapping[str, str] | None,
 ) -> tuple[BandAnalysis, ...]:
-    """Every band's analysis under the manifest's tie-break and discrepancy cap."""
-    return tuple(
-        analyse_band(
-            band, runs, labels, manifest.policy.tie_break, manifest.discrepancy_cap, seed, grouping
-        )
-        for band in banding
-    )
+    """Every band's analysis under the manifest's tie-break, discrepancy cap and seed."""
+    tie_break, cap, seed = manifest.policy.tie_break, manifest.discrepancy_cap, manifest.seed
+    return tuple(analyse_band(band, runs, labels, tie_break, cap, seed, grouping) for band in banding)
 
 
-def top_band_profile(
-    kind: str, manifest: AuditManifest, seed: int, top: Sequence[BandMatrix]
-) -> RenderedSvg:
+def top_band_profile(kind: str, manifest: AuditManifest, top: Sequence[BandMatrix]) -> RenderedSvg:
     """The stability or fairness profile of the manifest's top bands."""
     if kind == "stability_profile":
         return stability_profile(top)
-    return fairness_profile(top, manifest.profile_variant, manifest.profile_max_instances, seed)
+    return fairness_profile(
+        top, manifest.profile_variant, manifest.profile_max_instances, manifest.seed
+    )
 
 
 def compare_policies(
@@ -277,14 +272,15 @@ def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> Audi
     manifest seed for every seeded choice; the effective seed is recorded in
     the report either way.
     """
-    seed = manifest.seed if seed_override is None else seed_override
+    if seed_override is not None:
+        manifest = replace(manifest, seed=seed_override)
     labels, runs, grouping = load_inputs(manifest)
     banding = partition(runs, manifest.policy)
-    analyses = analyse_bands(manifest, seed, banding, labels, runs, grouping)
+    analyses = analyse_bands(manifest, banding, labels, runs, grouping)
     comparison = compare_policies(runs, default_comparison_policies(manifest.policy))
     top = [a.matrix for a in analyses[: manifest.profile_top_n]]
     renders = {
-        kind: top_band_profile(kind, manifest, seed, top)
+        kind: top_band_profile(kind, manifest, top)
         for kind in ("stability_profile", "fairness_profile")
     }
     renders["multiplicity_panel"] = multiplicity_panel(analyses)
@@ -293,7 +289,7 @@ def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> Audi
     payload = {
         "format_version": FORMAT_VERSION,
         "kind": "audit_report",
-        "seed": seed,
+        "seed": manifest.seed,
         "policy": manifest.policy.describe(),
         "tie_break": list(manifest.policy.tie_break),
         "favourable_label": manifest.favourable_label,
@@ -321,12 +317,12 @@ def audit(
 
     Writes report.json plus each profile as .svg with a .sidecar.json, all
     seven replaced together (see write_text_atomic), and returns the outcome
-    together with the written paths.
+    together with the written paths.  An output that cannot be written
+    raises OSError.
     """
     manifest = load_manifest(Path(manifest_path))
     outcome = run_audit(manifest, seed_override=seed_override)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = {"report": out_dir / REPORT_BASENAME}
     texts = {written["report"]: emit_json(outcome.payload)}
     for name in PROFILE_BASENAMES:

@@ -57,7 +57,6 @@ class Dataset2D:
     points: PointSet
     labels: LabelVector
     domain_box: Box
-    seed: int
 
     def __post_init__(self) -> None:
         if self.points.index != self.labels.index:
@@ -178,12 +177,11 @@ def generate_dataset(spec: DatasetSpec, n_per_class: int, seed: int) -> Dataset2
         points=PointSet(index=index, points=tuple(fav + unf)),
         labels=labels,
         domain_box=spec.domain_box,
-        seed=seed,
     )
 
 
-def grid_point_set(box: Box, per_side: int, prefix: str = "g") -> PointSet:
-    """Cell-centre grid over the box as an unlabelled point set.
+def grid_point_set(box: Box, per_side: int) -> PointSet:
+    """Cell-centre grid over the box as an unlabelled point set, ids g000...
 
     Useful as a fairness set: dense, regular, and label-free.
     """
@@ -197,6 +195,6 @@ def grid_point_set(box: Box, per_side: int, prefix: str = "g") -> PointSet:
     digits = max(3, len(str(per_side * per_side - 1)))
     for i in range(per_side):
         for j in range(per_side):
-            ids.append(f"{prefix}{i * per_side + j:0{digits}d}")
+            ids.append(f"g{i * per_side + j:0{digits}d}")
             points.append((x_lo + (i + 0.5) * w, y_lo + (j + 0.5) * h))
     return PointSet(index=InstanceIndex(tuple(ids)), points=tuple(points))

@@ -2,10 +2,10 @@
 
 A family spec describes a finite candidate pool (explicit halfplanes,
 perturbed polynomial fits, leave-one-out neighbour variants, reseeded trees).
-Enumeration evaluates every candidate on the validation set (and on a
-separate fairness point set when given), wraps each into a ModelRun with its
-recomputed utility, and optionally deduplicates candidates that are
-indistinguishable on a dense behaviour grid.
+Enumeration fits the pool on one labelled dataset, evaluates every candidate
+on it (and on a separate fairness point set when given), wraps each into a
+ModelRun with its recomputed utility, and optionally deduplicates candidates
+that are indistinguishable on a dense behaviour grid.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from .datasets import Dataset2D, PointSet
 from .regions import grid_centres
 
 FAMILY_KINDS = ("linear", "polynomial", "knn", "tree")
+# deduplication compares candidates on this many cell centres per side
+GRID_RESOLUTION = 64
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,6 @@ class FamilySpec:
     """
 
     kind: str
-    tag: str = ""
     lines: tuple[tuple[float, float], ...] = ()
     degree: int = 1
     n_variants: int = 0
@@ -76,10 +77,6 @@ class FamilySpec:
             if not self.thresholds and self.n_seeds < 1:
                 raise ValueError("a tree family needs stump thresholds or n_seeds >= 1")
 
-    @property
-    def family_tag(self) -> str:
-        return self.tag or self.kind
-
 
 @dataclass(frozen=True)
 class ZooModel:
@@ -87,93 +84,75 @@ class ZooModel:
 
     run: ModelRun
     classifier: object
-    description: str
 
 
-def _candidates(spec: FamilySpec, train: Dataset2D) -> list[tuple[object, str]]:
-    X = train.points.as_array()
-    y = train.labels.values
-    out: list[tuple[object, str]] = []
+def _candidates(spec: FamilySpec, data: Dataset2D) -> list[object]:
+    X = data.points.as_array()
+    y = data.labels.values
     if spec.kind == "linear":
-        for angle, offset in spec.lines:
-            out.append(
-                (HalfplaneClassifier(angle, offset), f"halfplane angle={angle:.4f} offset={offset:.4f}")
-            )
-    elif spec.kind == "polynomial":
+        return [HalfplaneClassifier(angle, offset) for angle, offset in spec.lines]
+    if spec.kind == "polynomial":
         base = PolynomialBoundaryClassifier(degree=spec.degree).fit(X, y)
-        out.append((base, f"poly degree={spec.degree} base fit"))
         rng = np.random.default_rng(spec.seed)
-        for i in range(spec.n_variants):
-            out.append((base.perturbed(rng, spec.scale), f"poly degree={spec.degree} variant {i}"))
-    elif spec.kind == "knn":
+        return [base] + [base.perturbed(rng, spec.scale) for _ in range(spec.n_variants)]
+    if spec.kind == "knn":
         base = NearestNeighborsClassifier(k=spec.k).fit(X, y)
-        out.append((base, f"{spec.k}-nn full training set"))
-        if spec.perturbation == "loo":
-            if len(X) - 1 < spec.k:
-                raise AnalysisError(
-                    f"cannot drop a training point: k={spec.k} needs {spec.k} of {len(X)} points"
-                )
-            for row in range(len(X)):
-                out.append((base.without_point(row), f"{spec.k}-nn without row {row}"))
-    else:
-        for threshold in spec.thresholds:
-            out.append(
-                (
-                    AxisAlignedTreeClassifier.stump(0, threshold, above=1),
-                    f"stump x>{threshold:.4f}",
-                )
+        if spec.perturbation == "none":
+            return [base]
+        if len(X) - 1 < spec.k:
+            raise AnalysisError(
+                f"cannot drop a training point: k={spec.k} needs {spec.k} of {len(X)} points"
             )
-        for i in range(spec.n_seeds):
-            tree = AxisAlignedTreeClassifier(max_depth=spec.max_depth, seed=spec.seed + i).fit(X, y)
-            out.append((tree, f"tree depth<={spec.max_depth} seed {spec.seed + i}"))
-    return out
+        return [base] + [base.without_point(row) for row in range(len(X))]
+    stumps = [AxisAlignedTreeClassifier.stump(0, threshold, above=1) for threshold in spec.thresholds]
+    trees = [
+        AxisAlignedTreeClassifier(max_depth=spec.max_depth, seed=spec.seed + i).fit(X, y)
+        for i in range(spec.n_seeds)
+    ]
+    return stumps + trees
 
 
 def enumerate_family(
     spec: FamilySpec,
-    train: Dataset2D,
-    validation: Dataset2D,
+    data: Dataset2D,
     fairness: PointSet | None = None,
     dedupe: bool = True,
-    grid_resolution: int = 64,
 ) -> tuple[ZooModel, ...]:
-    """Evaluate the family's candidate pool into ModelRuns.
+    """Fit the family's candidate pool on data and evaluate it into ModelRuns.
 
-    Run ids are assigned in candidate order before deduplication, so a run
-    keeps its id whether or not dedupe removes its behavioural twins.
-    Deduplication compares predictions on a grid_resolution^2 cell-centre
-    grid over the validation domain, keeping each signature's first
-    candidate.
+    data is both the training and the validation set.  Run ids are assigned
+    in candidate order before deduplication, so a run keeps its id whether
+    or not dedupe removes its behavioural twins.  Deduplication compares
+    predictions on a GRID_RESOLUTION^2 cell-centre grid over the data's
+    domain, keeping each signature's first candidate.
     """
-    if grid_resolution < 2:
-        raise AnalysisError("grid_resolution must be at least 2")
-    pool = _candidates(spec, train)
-    val_X = validation.points.as_array()
-    fair_points = fairness if fairness is not None else validation.points
+    pool = _candidates(spec, data)
+    val_X = data.points.as_array()
+    fair_points = fairness if fairness is not None else data.points
     fair_X = fair_points.as_array()
-    grid = grid_centres(validation.domain_box, grid_resolution) if dedupe else None
+    grid = grid_centres(data.domain_box, GRID_RESOLUTION) if dedupe else None
     models: list[ZooModel] = []
     seen: set[bytes] = set()
     width = max(3, len(str(max(0, len(pool) - 1))))
-    for i, (classifier, description) in enumerate(pool):
+    for i, classifier in enumerate(pool):
         if grid is not None:
             signature = classifier.predict(grid).tobytes()
             if signature in seen:
                 continue
             seen.add(signature)
-        preds_val = PredictionVector(validation.index, classifier.predict(val_X))
+        preds_val = PredictionVector(data.index, classifier.predict(val_X))
         preds_fair = (
             preds_val
             if fairness is None
             else PredictionVector(fair_points.index, classifier.predict(fair_X))
         )
         run = ModelRun.from_predictions(
-            run_id=f"{spec.family_tag}-{i:0{width}d}",
+            run_id=f"{spec.kind}-{i:0{width}d}",
             preds_validation=preds_val,
-            labels=validation.labels,
+            labels=data.labels,
             preds_fairness=preds_fair,
         )
-        models.append(ZooModel(run=run, classifier=classifier, description=description))
+        models.append(ZooModel(run=run, classifier=classifier))
     return tuple(models)
 
 

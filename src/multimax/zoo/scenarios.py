@@ -19,13 +19,17 @@ from .classifiers import line_params
 from .datasets import Box, Dataset2D, DatasetSpec, PointSet, generate_dataset, grid_point_set
 from .families import FamilySpec, ZooModel, enumerate_family
 
+# opposite-label pairs in the paired-knn lattice, ten to a row
+PAIRS = 50
+# neighbours voting in constrained-knn
+KNN_K = 42
+
 
 @dataclass(frozen=True)
 class Scenario:
     """Datasets plus an enumerated family, ready for banding and audits."""
 
     name: str
-    train: Dataset2D
     validation: Dataset2D
     fairness: PointSet | None
     family: FamilySpec
@@ -49,10 +53,9 @@ def separable_linear(seed: int = 0) -> Scenario:
     offsets = [-0.8 + 0.2 * i for i in range(9)]
     family = FamilySpec(kind="linear", lines=tuple((0.0, o) for o in offsets))
     fairness = grid_point_set(data.domain_box, per_side=20)
-    models = enumerate_family(family, data, data, fairness=fairness)
+    models = enumerate_family(family, data, fairness=fairness)
     return Scenario(
         name="separable-linear",
-        train=data,
         validation=data,
         fairness=fairness,
         family=family,
@@ -90,10 +93,9 @@ def borderline_linear(seed: int = 0) -> Scenario:
             (math.pi / 2, 0.0),
         ),
     )
-    models = enumerate_family(family, data, data)
+    models = enumerate_family(family, data)
     return Scenario(
         name="borderline-linear",
-        train=data,
         validation=data,
         fairness=None,
         family=family,
@@ -127,10 +129,9 @@ def ensemble_cost(seed: int = 0) -> Scenario:
             line_params(1.0, 0.0, -2.0),
         ),
     )
-    models = enumerate_family(family, data, data)
+    models = enumerate_family(family, data)
     return Scenario(
         name="ensemble-cost",
-        train=data,
         validation=data,
         fairness=None,
         family=family,
@@ -139,62 +140,55 @@ def ensemble_cost(seed: int = 0) -> Scenario:
     )
 
 
-def paired_knn(seed: int = 0, pairs: int = 50) -> Scenario:
-    """Leave-one-out 1-NN on isolated opposite-label pairs.
+def paired_knn(seed: int = 0) -> Scenario:
+    """Leave-one-out 1-NN on PAIRS isolated opposite-label pairs.
 
-    Every left-out point is claimed by its partner, so each of the 2*pairs
+    Every left-out point is claimed by its partner, so each of the 2*PAIRS
     leave-one-out runs makes exactly one mistake and together they can flip
-    any instance either way: the loo band is fully expressive.
+    any instance either way: the loo band is fully expressive.  The lattice
+    is fixed, so seed changes nothing.
     """
-    if not 1 <= pairs <= 50:
-        raise AnalysisError("pairs must be between 1 and 50")
-    cols = min(pairs, 10)
-    rows = (pairs + cols - 1) // cols
+    cols = 10
     fav = []
     unf = []
-    for p in range(pairs):
+    for p in range(PAIRS):
         cx = -18.0 + 4.0 * (p % cols)
         cy = -8.0 + 4.0 * (p // cols)
         fav.append((cx, cy + 0.3))
         unf.append((cx, cy - 0.3))
     box: Box = ((-20.0, 20.0), (-10.0, 10.0))
-    ids = [f"f{i:03d}" for i in range(pairs)] + [f"u{i:03d}" for i in range(pairs)]
+    ids = [f"f{i:03d}" for i in range(PAIRS)] + [f"u{i:03d}" for i in range(PAIRS)]
     index = InstanceIndex(tuple(ids))
     data = Dataset2D(
         points=PointSet(index=index, points=tuple(fav + unf)),
-        labels=LabelVector(index, tuple([1] * pairs + [0] * pairs)),
+        labels=LabelVector(index, tuple([1] * PAIRS + [0] * PAIRS)),
         domain_box=box,
-        seed=seed,
     )
     family = FamilySpec(kind="knn", k=1, perturbation="loo")
-    models = enumerate_family(family, data, data, dedupe=False)
+    models = enumerate_family(family, data, dedupe=False)
     return Scenario(
         name="paired-knn",
-        train=data,
         validation=data,
         fairness=None,
         family=family,
         models=models,
-        notes=f"{rows}x{cols} pair lattice; the leave-one-out band is fully expressive",
+        notes=f"{PAIRS // cols}x{cols} pair lattice; the leave-one-out band is fully expressive",
     )
 
 
-def constrained_knn(seed: int = 0, k: int = 42) -> Scenario:
-    """Heavily smoothed k-NN on two tight blobs: nothing can be flipped.
+def constrained_knn(seed: int = 0) -> Scenario:
+    """Heavily smoothed k-NN (k = KNN_K) on two tight blobs: nothing can be flipped.
 
-    With k comparable to the class sizes every candidate predicts the local
-    majority, so all runs agree everywhere and a flip search must exhaust
-    its pool empty-handed.
+    With k comparable to the class sizes (50 each) every candidate predicts
+    the local majority, so all runs agree everywhere and a flip search must
+    exhaust its pool empty-handed.
     """
     spec = DatasetSpec(mode="blobs", std=0.5)
     data = generate_dataset(spec, n_per_class=50, seed=seed)
-    if k >= data.size:
-        raise AnalysisError(f"k={k} needs more than {data.size} training points")
-    family = FamilySpec(kind="knn", k=k, perturbation="loo")
-    models = enumerate_family(family, data, data, dedupe=False)
+    family = FamilySpec(kind="knn", k=KNN_K, perturbation="loo")
+    models = enumerate_family(family, data, dedupe=False)
     return Scenario(
         name="constrained-knn",
-        train=data,
         validation=data,
         fairness=None,
         family=family,
@@ -213,10 +207,9 @@ def stump(seed: int = 0) -> Scenario:
     spec = DatasetSpec(mode="halfplanes", margin=1.0)
     data = generate_dataset(spec, n_per_class=60, seed=seed)
     family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5))
-    models = enumerate_family(family, data, data)
+    models = enumerate_family(family, data)
     return Scenario(
         name="stump",
-        train=data,
         validation=data,
         fairness=None,
         family=family,
@@ -230,10 +223,9 @@ def polynomial(seed: int = 0) -> Scenario:
     spec = DatasetSpec(mode="halfplanes", margin=1.0)
     data = generate_dataset(spec, n_per_class=60, seed=seed)
     family = FamilySpec(kind="polynomial", degree=2, n_variants=11, scale=0.08, seed=seed)
-    models = enumerate_family(family, data, data)
+    models = enumerate_family(family, data)
     return Scenario(
         name="polynomial",
-        train=data,
         validation=data,
         fairness=None,
         family=family,

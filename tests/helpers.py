@@ -178,6 +178,12 @@ def oracle_disputable(vectors: dict[str, tuple[int, ...]], ids) -> list[str]:
     return out
 
 
+def oracle_individually_fair(run_id: str, vectors: dict[str, tuple[int, ...]]) -> bool:
+    """True when no other member's vector differs from run_id's on any instance."""
+    mine = vectors[run_id]
+    return all(theirs == mine for theirs in vectors.values())
+
+
 def oracle_pair_fractions(vectors: dict[str, tuple[int, ...]]) -> list[Fraction]:
     """Disagreement fractions over all pairs in sorted-id order."""
     out = []

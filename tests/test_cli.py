@@ -8,9 +8,10 @@ import pytest
 
 from helpers import write_labels_csv, write_manifest, write_predictions_csv
 from multimax import ingest
-from multimax.cli import _ensemble_csv, main
+from multimax.cli import main
 from multimax.core import InstanceIndex, LabelVector, ModelRun, PredictionVector
 from multimax.errors import ValidationError
+from multimax.ingest import ensemble_csv
 from test_report import write_fixture_inputs
 
 
@@ -82,6 +83,20 @@ class TestFailureScope:
         monkeypatch.setenv("MULTIMAX_SEED", "soon")
         assert run_command(name, manifest, tmp_path / "out") == 2
         assert "MULTIMAX_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["audit", "compare", "stability_profile", "fair-model", "zoo"])
+    def test_unwritable_output_is_validation_failure(self, tmp_path, capsys, name):
+        manifest = write_fixture_inputs(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a regular file\n", encoding="utf-8")
+        out = blocker / "out"
+        if name == "zoo":
+            code = run_cli("zoo", "--scenario", "stump", "--out", str(out))
+        else:
+            code = run_command(name, manifest, out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
+        assert blocker.read_text(encoding="utf-8") == "a regular file\n"
 
 
 class TestAuditCommand:
@@ -178,8 +193,8 @@ class TestZooCommand:
             monkeypatch.setattr(os, "replace", refuse_rename)
         else:
             monkeypatch.setattr(ingest, "open", refuse_predictions, raising=False)
-        with pytest.raises(OSError):
-            run_cli(*zoo, "2")
+        assert run_cli(*zoo, "2") == 2
+        assert capsys.readouterr().err.startswith("error: cannot write output: ")
         # no input file changed, manifest included, and no temporary file is left
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
@@ -275,7 +290,7 @@ class TestFairModelCommand:
     def test_padded_ids_refused(self):
         preds = PredictionVector(InstanceIndex((" a", "b")), (1, 0))
         with pytest.raises(ValidationError, match="' a'"):
-            _ensemble_csv(preds)
+            ensemble_csv(preds)
 
     def test_unknown_band_lists_known_ones(self, tmp_path, capsys):
         manifest = write_fixture_inputs(tmp_path)

@@ -13,6 +13,7 @@ from helpers import (
     make_index,
     oracle_disputable,
     oracle_fair_ensemble,
+    oracle_individually_fair,
     oracle_max_ensemble,
     oracle_pair_fractions,
     run_from_bits,
@@ -29,7 +30,6 @@ from multimax.fairness import (
     disputable_instances,
     ensemble_predictions,
     fair_ensemble,
-    is_individually_fair,
     member_matrix,
     prediction_vector_groups,
     unique_vector_counts,
@@ -93,13 +93,6 @@ class TestHandExample:
         assert stats.max_fraction == ExactRatio(2, 4)
         assert stats.mean_fraction == Fraction(1, 3)
         assert not stats.single_run
-
-    def test_verdict_witness(self):
-        _, runs, band = self._fixture()
-        verdict = is_individually_fair("a", band_matrix(band, runs))
-        assert not verdict.fair
-        assert verdict.witness_instance == "i0001"
-        assert verdict.witness_run == "b"
 
     def test_ensemble(self):
         labels, runs, band = self._fixture()
@@ -175,7 +168,8 @@ class TestOracles:
     def test_ambiguity_zero_iff_all_fair_iff_one_vector(self, fixture):
         _, runs, band = fixture
         zero = ambiguity(band_matrix(band, runs)).num == 0
-        all_fair = all(is_individually_fair(r.run_id, band_matrix(band, runs)).fair for r in runs)
+        vectors = vectors_of(runs)
+        all_fair = all(oracle_individually_fair(r.run_id, vectors) for r in runs)
         one_group = len(unique_vector_counts(band_matrix(band, runs))) == 1
         assert zero == all_fair == one_group
 
@@ -188,22 +182,6 @@ class TestOracles:
         groups = prediction_vector_groups(band_matrix(band, runs))
         flat = sorted(rid for g in groups for rid in g)
         assert flat == sorted(r.run_id for r in runs)
-
-    @given(band_fixture())
-    def test_witness_actually_disagrees(self, fixture):
-        _, runs, band = fixture
-        lookup = {r.run_id: r for r in runs}
-        for run in runs:
-            verdict = is_individually_fair(run.run_id, band_matrix(band, runs))
-            if verdict.fair:
-                assert verdict.witness_run is None
-                assert verdict.witness_instance is None
-            else:
-                mine = run.preds_fairness.value_for(verdict.witness_instance)
-                theirs = lookup[verdict.witness_run].preds_fairness.value_for(
-                    verdict.witness_instance
-                )
-                assert mine != theirs
 
 
 class TestDiscrepancySampling:
@@ -325,13 +303,6 @@ class TestMemberMatrix:
         disputed = disputable_instances(band_matrix(band, [a, b]))
         assert disputed.instance_ids == ("g1", "g2")
         assert ambiguity(band_matrix(band, [a, b])) == ExactRatio(2, 4)
-
-    def test_verdict_requires_membership(self):
-        idx = make_index(2)
-        labels = LabelVector(idx, (1, 0))
-        runs = [run_from_bits("a", labels, (1, 0))]
-        with pytest.raises(AnalysisError, match="outsider"):
-            is_individually_fair("outsider", band_matrix(whole_band(runs), runs))
 
 
 class TestGroupAmbiguity:

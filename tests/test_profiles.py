@@ -27,13 +27,11 @@ from multimax.fairness import analyse_band, band_matrix, unique_vector_counts
 from multimax.profiles import (
     BAND_PALETTE,
     CELL_PX,
-    DASH_PATTERNS,
     FAVOURABLE_SHADE,
     MAX_WIDTH,
     UNFAVOURABLE_SHADE,
     _mix_towards_white,
     band_colour,
-    band_dash,
     fairness_profile,
     multiplicity_panel,
     prediction_fill,
@@ -85,8 +83,6 @@ class TestStyle:
     def test_palette_cycles_then_dashes(self):
         n = len(BAND_PALETTE)
         assert band_colour(n + 2) == BAND_PALETTE[2]
-        assert band_dash(2) == ""
-        assert band_dash(n) == DASH_PATTERNS[1]
 
     def test_prediction_fills_differ(self):
         fav = prediction_fill(0, True)

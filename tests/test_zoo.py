@@ -43,7 +43,6 @@ def tiny_dataset(points, labels, box=DEFAULT_BOX):
         points=point_set,
         labels=LabelVector(point_set.index, tuple(labels)),
         domain_box=box,
-        seed=0,
     )
 
 
@@ -362,7 +361,7 @@ class TestFamilies:
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
         family = FamilySpec(kind="linear", lines=((0.0, -0.5), (0.0, 0.5)))
-        models = enumerate_family(family, data, data)
+        models = enumerate_family(family, data)
         assert [m.run.run_id for m in models] == ["linear-000", "linear-001"]
         assert all(m.run.utility == ExactRatio(4, 4) for m in models)
 
@@ -371,9 +370,9 @@ class TestFamilies:
         family = FamilySpec(
             kind="linear", lines=((0.0, 0.0), (0.0, 0.0), (0.0, 0.5))
         )
-        deduped = enumerate_family(family, data, data)
+        deduped = enumerate_family(family, data)
         assert [m.run.run_id for m in deduped] == ["linear-000", "linear-002"]
-        kept = enumerate_family(family, data, data, dedupe=False)
+        kept = enumerate_family(family, data, dedupe=False)
         assert [m.run.run_id for m in kept] == ["linear-000", "linear-001", "linear-002"]
 
     def test_loo_pool_size(self):
@@ -381,21 +380,21 @@ class TestFamilies:
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
         family = FamilySpec(kind="knn", k=1, perturbation="loo")
-        models = enumerate_family(family, data, data, dedupe=False)
+        models = enumerate_family(family, data, dedupe=False)
         assert len(models) == 5  # base + one per dropped point
 
     def test_loo_needs_enough_points(self):
         data = tiny_dataset([(-1.0, 0.0), (1.0, 0.0)], [0, 1])
         family = FamilySpec(kind="knn", k=2, perturbation="loo")
         with pytest.raises(AnalysisError):
-            enumerate_family(family, data, data, dedupe=False)
+            enumerate_family(family, data, dedupe=False)
 
     def test_stump_family(self):
         data = tiny_dataset(
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
         family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5), n_seeds=1)
-        models = enumerate_family(family, data, data, dedupe=False)
+        models = enumerate_family(family, data, dedupe=False)
         assert len(models) == 3  # two stumps plus one seeded fit
 
     def test_spec_validation(self):
@@ -411,11 +410,6 @@ class TestFamilies:
             FamilySpec(kind="tree")
         with pytest.raises(ValueError):
             FamilySpec(kind="polynomial", degree=0)
-
-    def test_custom_tag(self):
-        family = FamilySpec(kind="linear", tag="custom", lines=((0.0, 0.0),))
-        assert family.family_tag == "custom"
-        assert FamilySpec(kind="linear", lines=((0.0, 0.0),)).family_tag == "linear"
 
 
 class TestFlipSearch:
