@@ -3,9 +3,10 @@
 A band collects runs whose validation utility is "the same" under one of
 three notions: exactly equal (strict), equal after rounding to a fixed number
 of decimal digits, or within a symmetric tolerance around an anchor value.
-Strict and rounded banding partition the run collection; tolerance bands may
-overlap, and the result carries an honest is_partition flag instead of a
-promise.
+BandingPolicy decides both which band a utility anchors and which utilities
+a band holds, so a band is its policy plus its anchor.  Strict and rounded
+banding partition the run collection; tolerance bands may overlap, and the
+result carries an honest is_partition flag instead of a promise.
 
 All comparisons are exact.  Rounding uses integer arithmetic with midpoints
 going away from zero, so a band labelled "0.93" contains 925/1000 but not
@@ -75,23 +76,24 @@ class BandingPolicy:
             raise ValueError("the first tie-break metric must differ from the banding utility")
 
     @classmethod
-    def parse(cls, text: str, tie_break: Sequence[str] = ()) -> "BandingPolicy":
-        """Parse 'strict', 'tol:<delta>' or 'round:<digits>'."""
+    def parse(cls, text: str, tie_break: str = "") -> "BandingPolicy":
+        """Parse 'strict', 'tol:<delta>' or 'round:<digits>'; tie_break is comma-separated."""
         text = text.strip()
+        order = tuple(part.strip() for part in tie_break.split(",") if part.strip())
         if text == "strict":
-            return cls(mode="strict", tie_break=tuple(tie_break))
+            return cls(mode="strict", tie_break=order)
         if text.startswith("tol:"):
             raw = text[len("tol:"):]
             try:
                 delta = Fraction(raw)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"cannot parse tolerance delta {raw!r}") from None
-            return cls(mode="tolerance", delta=delta, tie_break=tuple(tie_break))
+            return cls(mode="tolerance", delta=delta, tie_break=order)
         if text.startswith("round:"):
             raw = text[len("round:"):]
             if not raw.isdigit():
                 raise ValueError(f"cannot parse rounding digits {raw!r}")
-            return cls(mode="rounded", digits=int(raw), tie_break=tuple(tie_break))
+            return cls(mode="rounded", digits=int(raw), tie_break=order)
         raise ValueError(f"unknown banding policy {text!r}; expected strict, tol:<delta> or round:<digits>")
 
     def describe(self) -> str:
@@ -101,36 +103,58 @@ class BandingPolicy:
             return f"round:{self.digits}"
         return f"tol:{self.delta}"
 
+    def band_at(self, utility: ExactRatio) -> tuple[str, ExactRatio]:
+        """The label and epsilon of the band that a run with this utility anchors.
+
+        epsilon is the utility itself, reduced, for strict and tolerance
+        bands, and the rounded value q/10^digits for rounded bands.
+        """
+        if self.mode == "rounded":
+            assert self.digits is not None
+            scale = 10**self.digits
+            key = round_scaled(utility.num, utility.den, self.digits)
+            return f"{key // scale}.{key % scale:0{self.digits}d}", ExactRatio(key, scale)
+        value = utility.as_fraction()
+        if self.mode == "strict":
+            label = f"{value.numerator}/{value.denominator}"
+        else:
+            assert self.delta is not None
+            label = f"[{max(Fraction(0), value - self.delta)}, {min(Fraction(1), value + self.delta)}]"
+        return label, ExactRatio.from_fraction(value)
+
+    def admits(self, epsilon: ExactRatio, utility: ExactRatio) -> bool:
+        """Does the band at epsilon hold a run with this utility?"""
+        if self.mode == "strict":
+            return utility == epsilon
+        if self.mode == "rounded":
+            assert self.digits is not None
+            key = round_scaled(epsilon.num, epsilon.den, self.digits)
+            return round_scaled(utility.num, utility.den, self.digits) == key
+        # |utility - epsilon| <= delta, cross-multiplied over positive denominators
+        assert self.delta is not None
+        gap = abs(utility.num * epsilon.den - epsilon.num * utility.den)
+        return gap * self.delta.denominator <= self.delta.numerator * utility.den * epsilon.den
+
 
 @dataclass(frozen=True)
 class PerformanceBand:
-    """A labelled group of run ids at one utility level.
+    """A labelled group of run ids: a banding policy plus the band's anchor.
 
-    epsilon is the band's representative utility: the shared exact value for
-    strict bands, the rounded value q/10^digits for rounded bands, and the
-    anchor for tolerance bands (whose closed interval is [lo, hi]).
+    epsilon is the band's representative utility (see BandingPolicy.band_at)
+    and policy.admits(epsilon, u) decides whether utility u belongs.
     """
 
     label: str
     run_ids: tuple[str, ...]
     epsilon: ExactRatio
-    mode: str
-    lo: Fraction | None = None
-    hi: Fraction | None = None
-    digits: int | None = None
+    policy: BandingPolicy
 
     def __post_init__(self) -> None:
-        if self.mode not in BAND_MODES:
-            raise ValueError(f"unknown band mode {self.mode!r}")
         if not self.run_ids:
             raise ValueError(f"band {self.label!r} has no members")
         object.__setattr__(self, "run_ids", tuple(self.run_ids))
         if list(self.run_ids) != sorted(set(self.run_ids)):
             raise ValueError(f"band {self.label!r} member ids must be sorted and unique")
-        if self.mode == "tolerance" and (self.lo is None or self.hi is None):
-            raise ValueError("tolerance bands need interval bounds")
-        if self.mode == "rounded" and self.digits is None:
-            raise ValueError("rounded bands need their digit count")
 
     @property
     def run_count(self) -> int:
@@ -138,13 +162,7 @@ class PerformanceBand:
 
     def contains_utility(self, utility: ExactRatio) -> bool:
         """Would a run with this utility fall into the band?"""
-        if self.mode == "strict":
-            return utility == self.epsilon
-        if self.mode == "rounded":
-            assert self.digits is not None
-            return round_scaled(utility.num, utility.den, self.digits) == self.epsilon.num
-        assert self.lo is not None and self.hi is not None
-        return self.lo <= utility.as_fraction() <= self.hi
+        return self.policy.admits(self.epsilon, utility)
 
 
 @dataclass(frozen=True)
@@ -172,88 +190,38 @@ class Banding:
         return self.bands[0]
 
 
-def _strict_bands(runs: Sequence[ModelRun]) -> list[PerformanceBand]:
-    groups: dict[Fraction, list[str]] = {}
-    for run in runs:
-        groups.setdefault(run.utility.as_fraction(), []).append(run.run_id)
-    bands = []
-    for value, members in groups.items():
-        bands.append(
-            PerformanceBand(
-                label=f"{value.numerator}/{value.denominator}",
-                run_ids=tuple(sorted(members)),
-                epsilon=ExactRatio.from_fraction(value),
-                mode="strict",
-            )
-        )
-    return bands
-
-
-def _rounded_bands(runs: Sequence[ModelRun], digits: int) -> list[PerformanceBand]:
-    scale = 10**digits
-    groups: dict[int, list[str]] = {}
-    for run in runs:
-        key = round_scaled(run.utility.num, run.utility.den, digits)
-        groups.setdefault(key, []).append(run.run_id)
-    bands = []
-    for key, members in groups.items():
-        bands.append(
-            PerformanceBand(
-                label=f"{key // scale}.{key % scale:0{digits}d}",
-                run_ids=tuple(sorted(members)),
-                epsilon=ExactRatio(key, scale),
-                mode="rounded",
-                digits=digits,
-            )
-        )
-    return bands
-
-
-def _tolerance_bands(runs: Sequence[ModelRun], delta: Fraction) -> list[PerformanceBand]:
-    # one band per distinct utility, except that anchors whose intervals clip
-    # to the same [lo, hi] at 0 or 1 share one band
-    anchor_values = sorted({run.utility.as_fraction() for run in runs}, reverse=True)
-    bands = []
-    seen_intervals: set[tuple[Fraction, Fraction]] = set()
-    for anchor in anchor_values:
-        lo = max(Fraction(0), anchor - delta)
-        hi = min(Fraction(1), anchor + delta)
-        if (lo, hi) in seen_intervals:
-            continue
-        seen_intervals.add((lo, hi))
-        members = [run.run_id for run in runs if lo <= run.utility.as_fraction() <= hi]
-        bands.append(
-            PerformanceBand(
-                label=f"[{lo}, {hi}]",
-                run_ids=tuple(sorted(members)),
-                epsilon=ExactRatio.from_fraction(anchor),
-                mode="tolerance",
-                lo=lo,
-                hi=hi,
-            )
-        )
-    return bands
-
-
 def partition(runs: Iterable[ModelRun], policy: BandingPolicy) -> Banding:
     """Group runs into performance bands under the given policy.
 
-    Tolerance bands are anchored at the distinct utilities present in the
-    collection.  Bands come back in descending epsilon order.
+    Each distinct utility, best first, anchors a band unless an earlier band
+    already has its label; tolerance bands may overlap.  Bands come back in
+    descending epsilon order.
     """
     run_list = sorted(runs_by_id(runs).values(), key=lambda r: r.run_id)
     if not run_list:
         raise AnalysisError("cannot band an empty run collection")
     common_validation_index(run_list)
-    if policy.mode == "strict":
-        bands = _strict_bands(run_list)
-    elif policy.mode == "rounded":
-        assert policy.digits is not None
-        bands = _rounded_bands(run_list, policy.digits)
-    else:
-        assert policy.delta is not None
-        bands = _tolerance_bands(run_list, policy.delta)
-    bands.sort(key=lambda b: b.epsilon.as_fraction(), reverse=True)
+    # keyed by (num, den): hashing an ExactRatio builds a Fraction
+    groups: dict[tuple[int, int], list[str]] = {}
+    for run in run_list:
+        groups.setdefault((run.utility.num, run.utility.den), []).append(run.run_id)
+    levels = sorted((ExactRatio(num, den) for num, den in groups), reverse=True)
+    bands = []
+    labels: set[str] = set()
+    for at, anchor in enumerate(levels):
+        label, epsilon = policy.band_at(anchor)
+        if label in labels:
+            continue
+        labels.add(label)
+        # every rule admits one contiguous stretch of the sorted utilities
+        # around the anchor, so each scan stops at its first refusal
+        lo, hi = at, at + 1
+        while lo > 0 and policy.admits(epsilon, levels[lo - 1]):
+            lo -= 1
+        while hi < len(levels) and policy.admits(epsilon, levels[hi]):
+            hi += 1
+        run_ids = sorted(rid for level in levels[lo:hi] for rid in groups[level.num, level.den])
+        bands.append(PerformanceBand(label, tuple(run_ids), epsilon, policy))
     memberships = [rid for band in bands for rid in band.run_ids]
     is_partition = len(memberships) == len(run_list) and len(set(memberships)) == len(run_list)
     return Banding(policy=policy, bands=tuple(bands), is_partition=is_partition)

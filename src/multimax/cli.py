@@ -110,7 +110,6 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
         raise ValidationError(f"no band labelled {args.band!r}; bands: {known}") from None
     bm = band_matrix(band, runs)
     ensemble = fair_ensemble(bm, labels)
-    fair_fairness = ensemble_predictions(bm, "fairness")
     payload = {
         "kind": "fair_model",
         "band": band.label,
@@ -125,8 +124,8 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
         out_dir / "fair_model.json": emit_json(payload),
         out_dir / "fair_model_validation.csv": ensemble_csv(ensemble.preds),
     }
-    if fair_fairness.index != ensemble.preds.index:
-        files[out_dir / "fair_model_fairness.csv"] = ensemble_csv(fair_fairness)
+    if manifest.fairness_predictions_path is not None:
+        files[out_dir / "fair_model_fairness.csv"] = ensemble_csv(ensemble_predictions(bm, "fairness"))
     write_text_atomic(files)
     print(f"band {band.label}: accuracy {ensemble.accuracy}, recall {ensemble.recall}, specificity {ensemble.specificity}")
     print(f"wrote {out_dir / 'fair_model.json'}")
@@ -137,6 +136,12 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     seed = _env_seed()
     if seed is None:
         seed = args.seed
+    if seed < 0:
+        raise ValidationError(f"zoo seed must be non-negative, got {seed}")
+    try:
+        BandingPolicy.parse(args.banding, args.tie_break)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     scenario = build_scenario(args.scenario, seed=seed)
     entries = {
         "labels": "labels.csv",
@@ -151,8 +156,8 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
         entries["tie_break"] = args.tie_break
     if scenario.fairness is not None:
         entries["fairness_predictions"] = "fairness_predictions.csv"
-    # the manifest's refusals come first, and every file is built before any
-    # is written, so a refusal or a failure before the renames changes nothing
+    # the refusals (policy, manifest) come first and every file is built before
+    # any is written, so a refusal or a failure before the renames changes nothing
     manifest = manifest_text(entries)
     out_dir = Path(args.out)
     files = {

@@ -411,8 +411,8 @@ def _parse_int(raw: str, key: str, path: Path, line: int) -> int:
 def load_manifest(path: Path) -> AuditManifest:
     """Parse the audit manifest: key=value lines, # comments, relative paths.
 
-    Unknown keys are rejected (typos must not silently change an audit);
-    provenance.* keys are free-form and echoed into the report.
+    Unknown and repeated keys are rejected (typos must not silently change
+    an audit); provenance.* keys are free-form and echoed into the report.
     """
     path = Path(path)
     try:
@@ -425,7 +425,6 @@ def load_manifest(path: Path) -> AuditManifest:
         raise _not_utf8(path) from None
     values: dict[str, str] = {}
     value_lines: dict[str, int] = {}
-    provenance: dict[str, str] = {}
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
@@ -437,10 +436,8 @@ def load_manifest(path: Path) -> AuditManifest:
         value = value.strip()
         if not key or not value:
             raise ValidationError("empty key or value", path=str(path), line=lineno)
-        if key.startswith(PROVENANCE_PREFIX):
-            provenance[key[len(PROVENANCE_PREFIX):]] = value
-            continue
-        if key not in MANIFEST_REQUIRED and key not in MANIFEST_OPTIONAL:
+        known = key in MANIFEST_REQUIRED or key in MANIFEST_OPTIONAL
+        if not known and not key.startswith(PROVENANCE_PREFIX):
             raise ValidationError(f"unknown manifest key {key!r}", path=str(path), line=lineno)
         if key in values:
             raise ValidationError(f"duplicate manifest key {key!r}", path=str(path), line=lineno)
@@ -449,16 +446,15 @@ def load_manifest(path: Path) -> AuditManifest:
     for key in MANIFEST_REQUIRED:
         if key not in values:
             raise ValidationError(f"missing required manifest key {key!r}", path=str(path))
+    cut = len(PROVENANCE_PREFIX)
+    provenance = {key[cut:]: value for key, value in values.items() if key.startswith(PROVENANCE_PREFIX)}
     base = path.parent
 
     def resolve(key: str) -> Path:
         return (base / values[key]).resolve() if not Path(values[key]).is_absolute() else Path(values[key])
 
-    tie_break: tuple[str, ...] = ()
-    if "tie_break" in values:
-        tie_break = tuple(part.strip() for part in values["tie_break"].split(",") if part.strip())
     try:
-        policy = BandingPolicy.parse(values["band"], tie_break=tie_break)
+        policy = BandingPolicy.parse(values["band"], values.get("tie_break", ""))
     except ValueError as exc:
         raise ValidationError(str(exc), path=str(path), line=value_lines["band"]) from None
     # only the keys present are passed, so AuditManifest holds every default

@@ -197,7 +197,7 @@ def _band_payload(analysis: BandAnalysis) -> dict:
     ensemble = analysis.ensemble
     return {
         "label": band.label,
-        "mode": band.mode,
+        "mode": band.policy.mode,
         "epsilon": ratio_payload(band.epsilon),
         "run_ids": list(band.run_ids),
         "run_count": band.run_count,

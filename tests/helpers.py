@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from multimax.banding import PerformanceBand
+from multimax.banding import BandingPolicy, PerformanceBand
 from multimax.core import (
     ExactRatio,
     InstanceIndex,
@@ -73,7 +73,7 @@ def whole_band(runs, label: str = "band") -> PerformanceBand:
         label=label,
         run_ids=tuple(r.run_id for r in run_list),
         epsilon=run_list[0].utility,
-        mode="strict",
+        policy=BandingPolicy("strict"),
     )
 
 
@@ -150,6 +150,48 @@ def oracle_round_key(num: int, den: int, digits: int) -> int:
     scaled = Fraction(num, den) * 10**digits
     floor = scaled.numerator // scaled.denominator
     return floor + 1 if scaled - floor >= Fraction(1, 2) else floor
+
+
+def oracle_partition(runs, policy: BandingPolicy):
+    """The bands partition should return, grouped run by run for each mode.
+
+    Returns ((label, run_ids, (epsilon.num, epsilon.den), mode), ...) best
+    first, and the is_partition flag.  Rounding goes through
+    oracle_round_key, not round_scaled.
+    """
+    run_list = sorted(runs, key=lambda r: r.run_id)
+    groups: dict = {}
+    if policy.mode == "strict":
+        for run in run_list:
+            value = run.utility.as_fraction()
+            groups.setdefault((f"{value.numerator}/{value.denominator}", value), []).append(run.run_id)
+    elif policy.mode == "rounded":
+        scale = 10**policy.digits
+        for run in run_list:
+            key = oracle_round_key(run.utility.num, run.utility.den, policy.digits)
+            label = f"{key // scale}.{str(key % scale).rjust(policy.digits, '0')}"
+            groups.setdefault((label, Fraction(key, scale)), []).append(run.run_id)
+    else:
+        # one band per distinct utility; anchors whose intervals clip to the
+        # same [lo, hi] share the band of the best of them
+        anchors = sorted({run.utility.as_fraction() for run in run_list}, reverse=True)
+        seen = set()
+        for anchor in anchors:
+            lo, hi = max(Fraction(0), anchor - policy.delta), min(Fraction(1), anchor + policy.delta)
+            if (lo, hi) not in seen:
+                seen.add((lo, hi))
+                members = [r.run_id for r in run_list if lo <= r.utility.as_fraction() <= hi]
+                groups[(f"[{lo}, {hi}]", anchor)] = members
+    bands = []
+    for (label, epsilon), members in sorted(groups.items(), key=lambda item: item[0][1], reverse=True):
+        if policy.mode == "rounded":
+            written = (int(epsilon * scale), scale)
+        else:
+            written = (epsilon.numerator, epsilon.denominator)
+        bands.append((label, tuple(sorted(members)), written, policy.mode))
+    memberships = [rid for band in bands for rid in band[1]]
+    is_partition = sorted(memberships) == [r.run_id for r in run_list]
+    return tuple(bands), is_partition
 
 
 def oracle_confusion(preds, labels) -> tuple[int, int, int, int]:

@@ -271,7 +271,7 @@ def test_c09_region_estimate_converges_at_grid_rate():
         label="1/1",
         run_ids=("sa", "sb"),
         epsilon=ExactRatio(1, 1),
-        mode="strict",
+        policy=BandingPolicy("strict"),
     )
     box = ((0.0, width), (0.0, 2.0))
     expected = Fraction(1, 12)  # (b - a) / width

@@ -3,12 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from helpers import make_index, oracle_refine_lexicographic, run_from_bits, whole_band
+from helpers import make_index, oracle_partition, oracle_refine_lexicographic, run_from_bits, whole_band
 from multimax.banding import Banding, BandingPolicy, PerformanceBand, partition, refine_lexicographic
-from multimax.core import METRIC_KINDS, ExactRatio, LabelVector
+from multimax.core import METRIC_KINDS, ExactRatio, LabelVector, ModelRun, PredictionVector
 from multimax.errors import AlignmentError, AnalysisError, MultimaxError, UndefinedMetricError
 from multimax.fairness import band_matrix
 
@@ -155,7 +155,7 @@ class TestTolerance:
         runs, _ = runs_with_accuracies([100, 97], 100)
         banding = partition(runs, BandingPolicy.parse("tol:3/100"))
         top = banding.top
-        assert top.hi == Fraction(1)
+        assert top.label == "[97/100, 1]"
         assert top.contains_utility(ExactRatio(97, 100))
         assert top.contains_utility(ExactRatio(1, 1))
         assert not top.contains_utility(ExactRatio(9699, 10_000))
@@ -165,10 +165,56 @@ class TestTolerance:
         runs, _ = runs_with_accuracies([90, 80, 60], 100)
         banding = partition(runs, BandingPolicy.parse("tol:1"))
         assert len(banding) == 1
-        assert (banding.top.lo, banding.top.hi) == (Fraction(0), Fraction(1))
+        assert banding.top.label == "[0, 1]"
         assert banding.top.epsilon == ExactRatio(90, 100)
         assert banding.top.run_ids == ("r0000", "r0001", "r0002")
         assert banding.is_partition
+
+
+@st.composite
+def utility_collections(draw):
+    """(num, den) utilities with repeats; scaling writes equal values differently."""
+
+    @st.composite
+    def utility(draw):
+        den = draw(st.sampled_from((1, 8, 40, 100, 1000, 10_000, 100_000)))
+        scale = draw(st.sampled_from((1, 1, 2, 7)))
+        return draw(st.integers(0, den)) * scale, den * scale
+
+    pool = draw(st.lists(utility(), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=16))
+
+
+POLICIES = st.one_of(
+    st.just(BandingPolicy("strict")),
+    st.integers(1, 4).map(lambda digits: BandingPolicy("rounded", digits=digits)),
+    st.one_of(
+        st.sampled_from((Fraction(0), Fraction(1), Fraction(3, 2))),
+        st.fractions(0, Fraction(5, 4), max_denominator=200),
+    ).map(lambda delta: BandingPolicy("tolerance", delta=delta)),
+)
+
+
+class TestMatchesOracle:
+    @given(utility_collections(), POLICIES)
+    @example([(925, 1000), (935, 1000), (93, 100), (9249, 10_000)], BandingPolicy.parse("round:2"))
+    @example([(49, 50), (98, 100), (97, 100), (98, 100)], BandingPolicy("strict"))
+    @example([(54, 100), (52, 100), (50, 100), (60, 100)], BandingPolicy.parse("tol:3/100"))
+    @example([(90, 100), (80, 100), (0, 1), (1, 1)], BandingPolicy.parse("tol:1"))
+    @example([(1, 2), (2, 4), (1, 1), (0, 5)], BandingPolicy.parse("tol:0"))
+    def test_partition_matches_per_run_oracle(self, utilities, policy):
+        # hand-built runs: utilities no prediction vector of one length could give
+        index = make_index(1)
+        preds = PredictionVector(index, (0,))
+        runs = [
+            ModelRun(f"r{k:02d}", preds, preds, ExactRatio(num, den))
+            for k, (num, den) in enumerate(utilities)
+        ]
+        banding = partition(runs, policy)
+        got = tuple(
+            (b.label, b.run_ids, (b.epsilon.num, b.epsilon.den), b.policy.mode) for b in banding
+        )
+        assert (got, banding.is_partition) == oracle_partition(runs, policy)
 
 
 class TestBandObject:
@@ -184,16 +230,7 @@ class TestBandObject:
                 label="x",
                 run_ids=("b", "a"),
                 epsilon=ExactRatio(1, 2),
-                mode="strict",
-            )
-
-    def test_rounded_band_needs_digits(self):
-        with pytest.raises(ValueError):
-            PerformanceBand(
-                label="x",
-                run_ids=("a",),
-                epsilon=ExactRatio(1, 2),
-                mode="rounded",
+                policy=BandingPolicy("strict"),
             )
 
 

@@ -174,6 +174,26 @@ class TestZooCommand:
         assert "' strict'" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--banding", "round:x", "cannot parse rounding digits 'x'"),
+            ("--tie-break", "accuracy,bogus", "unknown tie-break metric 'bogus'"),
+        ],
+    )
+    def test_unloadable_policy_writes_no_file(self, tmp_path, capsys, flag, value, message):
+        assert run_cli("zoo", "--scenario", "stump", "--out", str(tmp_path), flag, value) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        assert run_cli("zoo", "--scenario", "stump", "--seed", "-1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: zoo seed must be non-negative, got -1\n"
+        monkeypatch.setenv("MULTIMAX_SEED", "-5")
+        assert run_cli("zoo", "--scenario", "polynomial", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err == "error: zoo seed must be non-negative, got -5\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("fault", ["rename", "prediction write"])
     def test_failed_zoo_leaves_earlier_inputs_unchanged(self, tmp_path, capsys, monkeypatch, fault):
         zoo = ("zoo", "--scenario", "separable-linear", "--out", str(tmp_path), "--seed")
@@ -241,7 +261,7 @@ class TestFairModelCommand:
         assert csv[0] == "run_id,instance_id,prediction"
         assert len(csv) == 7
         assert all(line.startswith("fair-ensemble,") for line in csv[1:])
-        # the fixture's fairness index equals its validation index
+        # the fixture's manifest names no fairness file
         assert not (tmp_path / "fm" / "fair_model_fairness.csv").exists()
 
     def test_distinct_fairness_grid_exported(self, tmp_path):
@@ -260,6 +280,37 @@ class TestFairModelCommand:
         assert code == 0
         fairness_csv = (tmp_path / "fm" / "fair_model_fairness.csv").read_text().splitlines()
         assert len(fairness_csv) - 1 == report["counts"]["fairness_instances"]
+
+    def test_fairness_file_on_validation_ids_exported(self, tmp_path, capsys):
+        labels = LabelVector(InstanceIndex(("i0", "i1", "i2", "i3")), (1, 1, 0, 0))
+        runs = [
+            ModelRun.from_predictions(
+                run_id, PredictionVector(labels.index, bits), labels, PredictionVector(labels.index, fair)
+            )
+            for run_id, bits, fair in (("r1", (1, 1, 0, 0), (0, 1, 0, 0)), ("r2", (1, 1, 0, 0), (0, 0, 1, 0)))
+        ]
+        write_labels_csv(tmp_path / "labels.csv", labels)
+        write_predictions_csv(tmp_path / "predictions.csv", runs)
+        write_predictions_csv(tmp_path / "fairness.csv", runs, which="fairness")
+        write_manifest(
+            tmp_path / "manifest.txt",
+            {
+                "labels": "labels.csv",
+                "predictions": "predictions.csv",
+                "fairness_predictions": "fairness.csv",
+                "favourable_label": "1",
+                "band": "strict",
+            },
+        )
+        out = tmp_path / "fm"
+        assert run_cli("fair-model", "--manifest", str(tmp_path / "manifest.txt"), "--band", "1/1", "--out", str(out)) == 0
+        assert json.loads((out / "fair_model.json").read_text())["resolved_disputes"] == 2
+        assert (out / "fair_model_fairness.csv").read_text().splitlines()[1:] == [
+            "fair-ensemble,i0,0",
+            "fair-ensemble,i1,1",
+            "fair-ensemble,i2,1",
+            "fair-ensemble,i3,0",
+        ]
 
     def test_ids_are_quoted_and_read_back_exactly(self, tmp_path, capsys):
         ids = ("a,b", 'd"q', "plain")

@@ -302,6 +302,16 @@ class TestManifest:
         with pytest.raises(ValidationError, match="duplicate manifest key"):
             load_manifest(path)
 
+    def test_duplicate_provenance_key_names_key_and_line(self, tmp_path):
+        path = write(
+            tmp_path / "m.txt",
+            "labels=l.csv\npredictions=p.csv\nfavourable_label=1\nband=strict\n"
+            "provenance.x=a\nprovenance.x=b\n",
+        )
+        with pytest.raises(ValidationError, match="duplicate manifest key 'provenance.x'") as err:
+            load_manifest(path)
+        assert ":6:" in str(err.value)
+
     def test_missing_required_key(self, tmp_path):
         path = write(tmp_path / "m.txt", "labels=l.csv\npredictions=p.csv\nband=strict\n")
         with pytest.raises(ValidationError, match="favourable_label"):

@@ -293,7 +293,7 @@ class TestRegions:
             label="synthetic",
             run_ids=tuple(sorted(run_ids)),
             epsilon=ExactRatio(1, 1),
-            mode="strict",
+            policy=BandingPolicy("strict"),
         )
 
     def test_strip_between_stumps_counted_exactly(self):
