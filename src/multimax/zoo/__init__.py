@@ -2,8 +2,8 @@
 
 The zoo exists to manufacture run collections whose banding and fairness
 behaviour is known by construction, both for tests and for end-to-end CLI
-demos.  Classifiers here follow the usual fit/predict shape and know nothing
-about the audit types; enumeration wraps their outputs into ModelRuns.
+demos.  Classifiers here expose predict (and fit where they learn) and know
+nothing about the audit types; enumeration wraps their outputs into ModelRuns.
 """
 
 from .classifiers import (

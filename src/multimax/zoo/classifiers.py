@@ -1,16 +1,15 @@
 """Small from-scratch classifiers over 2-D points.
 
-Each classifier exposes fit / predict (decision_function too
-where a margin exists).  predict takes an (n, 2) array and returns uint8 0/1
-with 1 the favourable class.  Determinism is part of the contract: stable
-tie-breaking everywhere, explicit seeds wherever randomness is involved.
+Each classifier exposes predict (fit where it learns from data,
+decision_function where a margin exists).  predict takes an (n, 2) array and
+returns uint8 0/1 with 1 the favourable class.  Determinism is part of the
+contract: stable tie-breaking everywhere, explicit seeds wherever randomness
+is involved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -40,11 +39,6 @@ class HalfplaneClassifier:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return (self.decision_function(X) > 0).astype(np.uint8)
-
-    @classmethod
-    def from_line(cls, a: float, b: float, c: float) -> "HalfplaneClassifier":
-        angle, offset = line_params(a, b, c)
-        return cls(angle=angle, offset=offset)
 
 
 class PolynomialBoundaryClassifier:
@@ -124,12 +118,6 @@ class NearestNeighborsClassifier:
         self._train_y = y.copy()
         return self
 
-    @property
-    def train_size(self) -> int:
-        if self._train_X is None:
-            raise RuntimeError("classifier is not fitted")
-        return len(self._train_X)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self._train_X is None or self._train_y is None:
             raise RuntimeError("classifier is not fitted")
@@ -154,134 +142,28 @@ class NearestNeighborsClassifier:
         return NearestNeighborsClassifier(k=self.k).fit(self._train_X[keep], self._train_y[keep])
 
 
-@dataclass
-class _Node:
-    prediction: int | None = None
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_Node | None" = None  # value <= threshold
-    right: "_Node | None" = None  # value > threshold
-
-
-def _gini_weighted(y_left: np.ndarray, y_right: np.ndarray) -> Fraction:
-    """Weighted gini impurity of a split, exact."""
-    total = len(y_left) + len(y_right)
-    acc = Fraction(0)
-    for side in (y_left, y_right):
-        n = len(side)
-        if n == 0:
-            continue
-        pos = int(side.sum())
-        impurity = 1 - Fraction(pos, n) ** 2 - Fraction(n - pos, n) ** 2
-        acc += Fraction(n, total) * impurity
-    return acc
-
-
 class AxisAlignedTreeClassifier:
-    """Greedy binary tree on axis-aligned thresholds with exact gini.
+    """A fixed depth-1 split on one feature: a decision stump.
 
-    Candidate splits are midpoints between consecutive distinct feature
-    values; impurities compare as exact fractions so a tie is a real tie, and
-    tied candidates are chosen by a seeded shuffle.  Different seeds can thus
-    yield different but equally good trees, which is exactly the multiplicity
-    the zoo wants to exhibit.
+    Predicts `above` where the feature value exceeds the threshold and
+    1 - above elsewhere, the threshold itself included.
     """
 
-    def __init__(self, max_depth: int = 1, seed: int = 0):
-        if max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
-        self.max_depth = int(max_depth)
-        self.seed = int(seed)
-        self._root: _Node | None = None
-
-    @classmethod
-    def stump(cls, feature: int, threshold: float, above: int) -> "AxisAlignedTreeClassifier":
-        """A fixed depth-1 tree predicting `above` when value > threshold."""
+    def __init__(self, feature: int, threshold: float, above: int):
         if feature not in (0, 1):
             raise ValueError("feature must be 0 or 1")
         if above not in (0, 1):
             raise ValueError("above must be 0 or 1")
-        tree = cls(max_depth=1)
-        tree._root = _Node(
-            feature=feature,
-            threshold=float(threshold),
-            left=_Node(prediction=1 - above),
-            right=_Node(prediction=above),
-        )
-        return tree
+        self.feature = feature
+        self.threshold = float(threshold)
+        self.above = above
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "AxisAlignedTreeClassifier":
-        X = np.asarray(X, dtype=np.float64)
-        y = np.asarray(y, dtype=np.uint8)
-        if len(X) != len(y) or len(X) == 0:
-            raise ValueError("X and y must be non-empty and the same length")
-        rng = np.random.default_rng(self.seed)
-        self._root = self._grow(X, y, depth=0, rng=rng)
-        return self
-
-    def _leaf(self, y: np.ndarray) -> _Node:
-        pos = int(y.sum())
-        return _Node(prediction=1 if 2 * pos >= len(y) else 0)
-
-    def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng: np.random.Generator) -> _Node:
-        if depth >= self.max_depth or len(set(y.tolist())) == 1:
-            return self._leaf(y)
-        candidates = []
-        for feature in (0, 1):
-            values = np.unique(X[:, feature])
-            for lo, hi in zip(values, values[1:]):
-                candidates.append((feature, float((lo + hi) / 2)))
-        if not candidates:
-            return self._leaf(y)
-        order = rng.permutation(len(candidates))
-        parent = _gini_weighted(y, np.empty(0, dtype=np.uint8))
-        best: tuple[Fraction, int, float] | None = None
-        for idx in order:
-            feature, threshold = candidates[idx]
-            mask = X[:, feature] <= threshold
-            score = _gini_weighted(y[mask], y[~mask])
-            if best is None or score < best[0]:
-                best = (score, feature, threshold)
-        assert best is not None
-        if best[0] >= parent:
-            return self._leaf(y)
-        _, feature, threshold = best
-        mask = X[:, feature] <= threshold
-        return _Node(
-            feature=feature,
-            threshold=threshold,
-            left=self._grow(X[mask], y[mask], depth + 1, rng),
-            right=self._grow(X[~mask], y[~mask], depth + 1, rng),
-        )
+    @classmethod
+    def stump(cls, feature: int, threshold: float, above: int) -> "AxisAlignedTreeClassifier":
+        """The stump predicting `above` when value > threshold."""
+        return cls(feature, threshold, above)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        if self._root is None:
-            raise RuntimeError("classifier is not fitted")
         X = np.asarray(X, dtype=np.float64)
-        out = np.empty(len(X), dtype=np.uint8)
-
-        def walk(node: _Node, rows: np.ndarray) -> None:
-            if node.prediction is not None:
-                out[rows] = node.prediction
-                return
-            assert node.feature is not None and node.threshold is not None
-            side = X[rows, node.feature] <= node.threshold
-            assert node.left is not None and node.right is not None
-            walk(node.left, rows[side])
-            walk(node.right, rows[~side])
-
-        walk(self._root, np.arange(len(X)))
-        return out
-
-    @property
-    def depth(self) -> int:
-        if self._root is None:
-            raise RuntimeError("classifier is not fitted")
-
-        def measure(node: _Node) -> int:
-            if node.prediction is not None:
-                return 0
-            assert node.left is not None and node.right is not None
-            return 1 + max(measure(node.left), measure(node.right))
-
-        return measure(self._root)
+        below = X[:, self.feature] <= self.threshold
+        return np.where(below, 1 - self.above, self.above).astype(np.uint8)

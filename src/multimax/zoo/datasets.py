@@ -85,7 +85,7 @@ class DatasetSpec:
     "halfplanes" draws favourable points uniformly from x > margin and
     unfavourable ones from x < -margin.  Borderline points are placed
     verbatim and count towards n_per_class, so the interesting instances sit
-    at known coordinates with known ids.
+    at known coordinates with known ids.  Every point lies in DEFAULT_BOX.
     """
 
     mode: str = "blobs"
@@ -95,7 +95,6 @@ class DatasetSpec:
     margin: float = 1.0
     borderline_favourable: tuple[tuple[float, float], ...] = ()
     borderline_unfavourable: tuple[tuple[float, float], ...] = ()
-    domain_box: Box = DEFAULT_BOX
 
     def __post_init__(self) -> None:
         if self.mode not in ("blobs", "halfplanes"):
@@ -105,27 +104,30 @@ class DatasetSpec:
                 raise ValueError("std must be non-negative")
             if self.std == 0 and self.favourable_center == self.unfavourable_center:
                 raise ValueError("degenerate blobs: zero spread around a shared center")
+            # the sampler keeps only draws inside the box, and a centre outside
+            # it can leave it drawing forever
+            for center in (self.favourable_center, self.unfavourable_center):
+                if not _inside(center, DEFAULT_BOX):
+                    raise ValueError(f"blob center {center} lies outside the domain box")
         if self.mode == "halfplanes":
-            (x_lo, x_hi), _ = self.domain_box
+            (x_lo, x_hi), _ = DEFAULT_BOX
+            if self.margin < 0:
+                raise ValueError(f"margin must be non-negative, got {self.margin}")
             if not (x_lo < -self.margin and self.margin < x_hi):
                 raise ValueError("margin leaves no room for either class inside the box")
         for point in self.borderline_favourable + self.borderline_unfavourable:
-            if not _inside(point, self.domain_box):
+            if not _inside(point, DEFAULT_BOX):
                 raise ValueError(f"borderline point {point} lies outside the domain box")
 
 
 def _sample_blob(
-    rng: np.random.Generator,
-    center: tuple[float, float],
-    std: float,
-    count: int,
-    box: Box,
+    rng: np.random.Generator, center: tuple[float, float], std: float, count: int
 ) -> list[tuple[float, float]]:
     out: list[tuple[float, float]] = []
     while len(out) < count:
         draws = rng.normal(loc=center, scale=std, size=(2 * (count - len(out)) + 8, 2))
         for point in draws:
-            if _inside(point, box):
+            if _inside(point, DEFAULT_BOX):
                 out.append((float(point[0]), float(point[1])))
                 if len(out) == count:
                     break
@@ -133,9 +135,9 @@ def _sample_blob(
 
 
 def _sample_halfplane(
-    rng: np.random.Generator, x_range: tuple[float, float], box: Box, count: int
+    rng: np.random.Generator, x_range: tuple[float, float], count: int
 ) -> list[tuple[float, float]]:
-    _, (y_lo, y_hi) = box
+    _, (y_lo, y_hi) = DEFAULT_BOX
     xs = rng.uniform(x_range[0], x_range[1], size=count)
     ys = rng.uniform(y_lo, y_hi, size=count)
     return [(float(x), float(y)) for x, y in zip(xs, ys)]
@@ -162,12 +164,12 @@ def generate_dataset(spec: DatasetSpec, n_per_class: int, seed: int) -> Dataset2
     n_fav = n_per_class - len(spec.borderline_favourable)
     n_unf = n_per_class - len(spec.borderline_unfavourable)
     if spec.mode == "blobs":
-        fav = _sample_blob(rng, spec.favourable_center, spec.std, n_fav, spec.domain_box)
-        unf = _sample_blob(rng, spec.unfavourable_center, spec.std, n_unf, spec.domain_box)
+        fav = _sample_blob(rng, spec.favourable_center, spec.std, n_fav)
+        unf = _sample_blob(rng, spec.unfavourable_center, spec.std, n_unf)
     else:
-        (x_lo, x_hi), _ = spec.domain_box
-        fav = _sample_halfplane(rng, (spec.margin, x_hi), spec.domain_box, n_fav)
-        unf = _sample_halfplane(rng, (x_lo, -spec.margin), spec.domain_box, n_unf)
+        (x_lo, x_hi), _ = DEFAULT_BOX
+        fav = _sample_halfplane(rng, (spec.margin, x_hi), n_fav)
+        unf = _sample_halfplane(rng, (x_lo, -spec.margin), n_unf)
     fav += [(float(x), float(y)) for x, y in spec.borderline_favourable]
     unf += [(float(x), float(y)) for x, y in spec.borderline_unfavourable]
     ids = [f"f{i:03d}" for i in range(len(fav))] + [f"u{i:03d}" for i in range(len(unf))]
@@ -176,7 +178,7 @@ def generate_dataset(spec: DatasetSpec, n_per_class: int, seed: int) -> Dataset2
     return Dataset2D(
         points=PointSet(index=index, points=tuple(fav + unf)),
         labels=labels,
-        domain_box=spec.domain_box,
+        domain_box=DEFAULT_BOX,
     )
 
 

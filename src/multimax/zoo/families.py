@@ -1,7 +1,7 @@
 """Enumerating classifier families over a shared dataset.
 
 A family spec describes a finite candidate pool (explicit halfplanes,
-perturbed polynomial fits, leave-one-out neighbour variants, reseeded trees).
+perturbed polynomial fits, leave-one-out neighbour variants, fixed stumps).
 Enumeration fits the pool on one labelled dataset, evaluates every candidate
 on it (and on a separate fairness point set when given), wraps each into a
 ModelRun with its recomputed utility, and optionally deduplicates candidates
@@ -39,9 +39,8 @@ class FamilySpec:
     kind selects the classifier and which knobs matter:
       linear      lines, a tuple of (angle, offset) pairs
       polynomial  degree, n_variants perturbed refits at noise scale
-      knn         k, perturbation "loo" (one variant per dropped point) or "none"
-      tree        max_depth with n_seeds reseeded fits, or explicit stump
-                  thresholds on feature 0 (favourable above)
+      knn         k, the full fit plus one leave-one-out variant per point
+      tree        thresholds, one stump on feature 0 (favourable above) each
     """
 
     kind: str
@@ -50,9 +49,6 @@ class FamilySpec:
     n_variants: int = 0
     scale: float = 0.25
     k: int = 1
-    perturbation: str = "loo"
-    max_depth: int = 1
-    n_seeds: int = 0
     thresholds: tuple[float, ...] = ()
     seed: int = 0
 
@@ -66,16 +62,10 @@ class FamilySpec:
                 raise ValueError("degree must be at least 1")
             if self.n_variants < 0 or self.scale < 0:
                 raise ValueError("n_variants and scale must be non-negative")
-        if self.kind == "knn":
-            if self.k < 1:
-                raise ValueError("k must be at least 1")
-            if self.perturbation not in ("loo", "none"):
-                raise ValueError(f"unknown knn perturbation {self.perturbation!r}")
-        if self.kind == "tree":
-            if self.max_depth < 1:
-                raise ValueError("max_depth must be at least 1")
-            if not self.thresholds and self.n_seeds < 1:
-                raise ValueError("a tree family needs stump thresholds or n_seeds >= 1")
+        if self.kind == "knn" and self.k < 1:
+            raise ValueError("k must be at least 1")
+        if self.kind == "tree" and not self.thresholds:
+            raise ValueError("a tree family needs at least one stump threshold")
 
 
 @dataclass(frozen=True)
@@ -87,29 +77,22 @@ class ZooModel:
 
 
 def _candidates(spec: FamilySpec, data: Dataset2D) -> list[object]:
-    X = data.points.as_array()
-    y = data.labels.values
     if spec.kind == "linear":
         return [HalfplaneClassifier(angle, offset) for angle, offset in spec.lines]
+    if spec.kind == "tree":
+        return [AxisAlignedTreeClassifier.stump(0, t, above=1) for t in spec.thresholds]
+    X = data.points.as_array()
+    y = data.labels.values
     if spec.kind == "polynomial":
         base = PolynomialBoundaryClassifier(degree=spec.degree).fit(X, y)
         rng = np.random.default_rng(spec.seed)
         return [base] + [base.perturbed(rng, spec.scale) for _ in range(spec.n_variants)]
-    if spec.kind == "knn":
-        base = NearestNeighborsClassifier(k=spec.k).fit(X, y)
-        if spec.perturbation == "none":
-            return [base]
-        if len(X) - 1 < spec.k:
-            raise AnalysisError(
-                f"cannot drop a training point: k={spec.k} needs {spec.k} of {len(X)} points"
-            )
-        return [base] + [base.without_point(row) for row in range(len(X))]
-    stumps = [AxisAlignedTreeClassifier.stump(0, threshold, above=1) for threshold in spec.thresholds]
-    trees = [
-        AxisAlignedTreeClassifier(max_depth=spec.max_depth, seed=spec.seed + i).fit(X, y)
-        for i in range(spec.n_seeds)
-    ]
-    return stumps + trees
+    base = NearestNeighborsClassifier(k=spec.k).fit(X, y)
+    if len(X) - 1 < spec.k:
+        raise AnalysisError(
+            f"cannot drop a training point: k={spec.k} needs {spec.k} of {len(X)} points"
+        )
+    return [base] + [base.without_point(row) for row in range(len(X))]
 
 
 def enumerate_family(

@@ -41,9 +41,6 @@ class RegionEstimate:
     x and j indexes y, both ascending.
     """
 
-    band_label: str
-    resolution: int
-    domain_box: Box
     disputable_fraction: ExactRatio
     mask: np.ndarray
 
@@ -70,13 +67,9 @@ def estimate_disputable_region(
     for run_id in band.run_ids[1:]:
         preds = np.asarray(classifiers[run_id].predict(grid), dtype=np.uint8)
         disputed |= preds != first
-    mask = disputed.reshape(resolution, resolution)
     return RegionEstimate(
-        band_label=band.label,
-        resolution=resolution,
-        domain_box=domain_box,
         disputable_fraction=ExactRatio(int(disputed.sum()), resolution * resolution),
-        mask=mask,
+        mask=disputed.reshape(resolution, resolution),
     )
 
 
@@ -94,31 +87,3 @@ def mask_to_pgm(mask: np.ndarray) -> str:
         lines.append(" ".join("1" if mask[i, j] else "0" for i in range(nx)))
     return "\n".join(lines) + "\n"
 
-
-def rectangular_components(mask: np.ndarray) -> bool:
-    """True when every 4-connected True component exactly fills its bounding box."""
-    if mask.ndim != 2:
-        raise ValueError("mask must be two-dimensional")
-    nx, ny = mask.shape
-    seen = np.zeros_like(mask, dtype=bool)
-    for si in range(nx):
-        for sj in range(ny):
-            if not mask[si, sj] or seen[si, sj]:
-                continue
-            stack = [(si, sj)]
-            seen[si, sj] = True
-            cells = []
-            while stack:
-                i, j = stack.pop()
-                cells.append((i, j))
-                for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                    if 0 <= ni < nx and 0 <= nj < ny and mask[ni, nj] and not seen[ni, nj]:
-                        seen[ni, nj] = True
-                        stack.append((ni, nj))
-            i_vals = [c[0] for c in cells]
-            j_vals = [c[1] for c in cells]
-            width = max(i_vals) - min(i_vals) + 1
-            height = max(j_vals) - min(j_vals) + 1
-            if width * height != len(cells):
-                return False
-    return True

@@ -164,7 +164,7 @@ def paired_knn(seed: int = 0) -> Scenario:
         labels=LabelVector(index, tuple([1] * PAIRS + [0] * PAIRS)),
         domain_box=box,
     )
-    family = FamilySpec(kind="knn", k=1, perturbation="loo")
+    family = FamilySpec(kind="knn", k=1)
     models = enumerate_family(family, data, dedupe=False)
     return Scenario(
         name="paired-knn",
@@ -185,7 +185,7 @@ def constrained_knn(seed: int = 0) -> Scenario:
     """
     spec = DatasetSpec(mode="blobs", std=0.5)
     data = generate_dataset(spec, n_per_class=50, seed=seed)
-    family = FamilySpec(kind="knn", k=KNN_K, perturbation="loo")
+    family = FamilySpec(kind="knn", k=KNN_K)
     models = enumerate_family(family, data, dedupe=False)
     return Scenario(
         name="constrained-knn",

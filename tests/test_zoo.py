@@ -15,7 +15,6 @@ from multimax.zoo.classifiers import (
     HalfplaneClassifier,
     NearestNeighborsClassifier,
     PolynomialBoundaryClassifier,
-    _Node,
     line_params,
 )
 from multimax.zoo.datasets import (
@@ -31,7 +30,6 @@ from multimax.zoo.regions import (
     estimate_disputable_region,
     grid_centres,
     mask_to_pgm,
-    rectangular_components,
 )
 from multimax.zoo.scenarios import SCENARIOS, build_scenario
 
@@ -97,6 +95,21 @@ class TestDatasets:
         with pytest.raises(ValueError):
             generate_dataset(DatasetSpec(), n_per_class=1000, seed=0)
 
+    def test_blob_centre_outside_the_box_refused(self):
+        # only construct: generating from such a spec would never return
+        with pytest.raises(ValueError, match="outside the domain box"):
+            DatasetSpec(favourable_center=(40.0, 0.0), std=0.5)
+        with pytest.raises(ValueError, match="outside the domain box"):
+            DatasetSpec(unfavourable_center=(0.0, -6.5))
+        DatasetSpec(mode="halfplanes", favourable_center=(40.0, 0.0))  # centres unused
+
+    def test_negative_margin_refused(self):
+        with pytest.raises(ValueError, match="margin must be non-negative"):
+            DatasetSpec(mode="halfplanes", margin=-2.0)
+        data = generate_dataset(DatasetSpec(mode="halfplanes", margin=0.0), n_per_class=20, seed=0)
+        arr = data.points.as_array()
+        assert (arr[:20, 0] >= 0).all() and (arr[20:, 0] < 0).all()
+
     def test_borderline_must_fit_class_count(self):
         spec = DatasetSpec(borderline_favourable=((0.0, 0.0), (0.1, 0.0)))
         with pytest.raises(ValueError):
@@ -116,7 +129,7 @@ class TestHalfplane:
         assert clf.predict(X).tolist() == [1, 0, 0]  # boundary itself is unfavourable
 
     def test_from_line_matches_sign(self):
-        clf = HalfplaneClassifier.from_line(1.0, 0.0, -1.5)  # x > 1.5
+        clf = HalfplaneClassifier(*line_params(1.0, 0.0, -1.5))  # x > 1.5
         X = np.array([(2.0, 0.0), (1.0, 0.0)])
         assert clf.predict(X).tolist() == [1, 0]
 
@@ -137,7 +150,7 @@ class TestHalfplane:
         assume(math.hypot(a, b) > 1e-6)
         raw = [a * x + b * y + c for x, y in points]
         assume(all(abs(v) > 1e-9 for v in raw))
-        clf = HalfplaneClassifier.from_line(a, b, c)
+        clf = HalfplaneClassifier(*line_params(a, b, c))
         expected = [1 if v > 0 else 0 for v in raw]
         assert clf.predict(np.array(points, dtype=np.float64)).tolist() == expected
 
@@ -214,9 +227,8 @@ class TestNearestNeighbors:
         clf = NearestNeighborsClassifier(k=1).fit(X, np.array([1, 0, 1]))
         assert clf.predict(np.array([[4.0, 0.0]])).tolist() == [0]
         dropped = clf.without_point(1)
-        assert dropped.train_size == 2
         assert dropped.predict(np.array([[4.0, 0.0]])).tolist() == [1]
-        assert clf.train_size == 3  # original untouched
+        assert clf.predict(np.array([[4.0, 0.0]])).tolist() == [0]  # original untouched
         with pytest.raises(ValueError):
             clf.without_point(3)
 
@@ -234,52 +246,14 @@ class TestTree:
         stump = AxisAlignedTreeClassifier.stump(0, 0.5, above=1)
         X = np.array([[0.5, 9.0], [0.6, -9.0], [0.4, 0.0]])
         assert stump.predict(X).tolist() == [0, 1, 0]
-        assert stump.depth == 1
-
-    def test_fit_finds_the_perfect_split(self):
-        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
-        y = np.array([0, 0, 1, 1])
-        tree = AxisAlignedTreeClassifier(max_depth=1, seed=0).fit(X, y)
-        assert (tree.predict(X) == y).all()
-        assert tree.depth == 1
-
-    def test_no_split_when_nothing_improves(self):
-        # XOR: every depth-1 split leaves both halves 50/50, so the tree
-        # stays a leaf instead of splitting arbitrarily.
-        X = np.array([[-1.0, -1.0], [1.0, 1.0], [-1.0, 1.0], [1.0, -1.0]])
-        y = np.array([1, 1, 0, 0])
-        tree = AxisAlignedTreeClassifier(max_depth=1, seed=0).fit(X, y)
-        assert tree.depth == 0
-
-    def test_depth_two_solves_three_bands(self):
-        # outer band favourable, middle band not: needs two nested splits
-        X = np.array(
-            [[-2.0, 0.0], [-1.5, 0.0], [-0.5, 0.0], [0.5, 0.0], [1.5, 0.0], [2.0, 0.0]]
-        )
-        y = np.array([1, 1, 0, 0, 1, 1])
-        tree = AxisAlignedTreeClassifier(max_depth=2, seed=0).fit(X, y)
-        assert (tree.predict(X) == y).all()
-        assert tree.depth == 2
-
-    def test_equally_good_splits_vary_with_seed(self):
-        # y is 1 exactly when x > 0 and also exactly when y > 0, so the
-        # root split is a coin flip between the two features.
-        X = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0], [-2.0, -2.0]])
-        y = np.array([1, 1, 0, 0])
-        roots = set()
-        for seed in range(20):
-            tree = AxisAlignedTreeClassifier(max_depth=1, seed=seed).fit(X, y)
-            assert (tree.predict(X) == y).all()
-            roots.add(tree._root.feature)
-        assert roots == {0, 1}
+        flipped = AxisAlignedTreeClassifier.stump(1, 0.0, above=0)
+        assert flipped.predict(X).tolist() == [0, 1, 1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AxisAlignedTreeClassifier(max_depth=0)
-        with pytest.raises(ValueError):
             AxisAlignedTreeClassifier.stump(2, 0.0, above=1)
-        with pytest.raises(RuntimeError):
-            AxisAlignedTreeClassifier().predict(np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            AxisAlignedTreeClassifier.stump(0, 0.0, above=2)
 
 
 class TestRegions:
@@ -303,10 +277,10 @@ class TestRegions:
         band = self._band_over("a", "b")
         for resolution in (8, 16, 32):
             estimate = estimate_disputable_region(band, classifiers, DEFAULT_BOX, resolution)
-            centres = grid_centres(DEFAULT_BOX, resolution)
-            expected = sum(1 for x, _ in centres.tolist() if -0.5 < x <= 0.5)
-            assert estimate.disputable_fraction == ExactRatio(expected, resolution**2)
-            assert rectangular_components(estimate.mask)
+            xs = grid_centres(DEFAULT_BOX, resolution)[:, 0]
+            strip = ((xs > -0.5) & (xs <= 0.5)).reshape(resolution, resolution)
+            assert np.array_equal(estimate.mask, strip)
+            assert estimate.disputable_fraction == ExactRatio(int(strip.sum()), resolution**2)
 
     def test_missing_classifier_detected(self):
         band = self._band_over("a", "b")
@@ -317,42 +291,6 @@ class TestRegions:
     def test_pgm_rendering(self):
         mask = np.array([[True, False], [False, False]])
         assert mask_to_pgm(mask) == "P1\n2 2\n0 0\n1 0\n"
-
-    def test_rectangular_components(self):
-        full = np.ones((3, 3), dtype=bool)
-        assert rectangular_components(full)
-        two_rects = np.zeros((5, 5), dtype=bool)
-        two_rects[0:2, 0:2] = True
-        two_rects[3:5, 3:4] = True
-        assert rectangular_components(two_rects)
-        ell = np.zeros((3, 3), dtype=bool)
-        ell[0, :] = True
-        ell[:, 0] = True
-        assert not rectangular_components(ell)
-        assert rectangular_components(np.zeros((2, 2), dtype=bool))
-
-    def test_depth_two_disagreement_need_not_be_rectangular(self):
-        # An L-shaped favourable region (x > 1, plus y > 1 on the left)
-        # against a constant-unfavourable model: the disputed cells form an
-        # L, so rectangularity is a stump-only guarantee.
-        deep = AxisAlignedTreeClassifier(max_depth=2)
-        deep._root = _Node(
-            feature=0,
-            threshold=1.0,
-            left=_Node(
-                feature=1,
-                threshold=1.0,
-                left=_Node(prediction=0),
-                right=_Node(prediction=1),
-            ),
-            right=_Node(prediction=1),
-        )
-        flat = AxisAlignedTreeClassifier.stump(0, 99.0, above=1)
-        band = self._band_over("deep", "flat")
-        estimate = estimate_disputable_region(
-            band, {"deep": deep, "flat": flat}, DEFAULT_BOX, 16
-        )
-        assert not rectangular_components(estimate.mask)
 
 
 class TestFamilies:
@@ -379,13 +317,13 @@ class TestFamilies:
         data = tiny_dataset(
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
-        family = FamilySpec(kind="knn", k=1, perturbation="loo")
+        family = FamilySpec(kind="knn", k=1)
         models = enumerate_family(family, data, dedupe=False)
         assert len(models) == 5  # base + one per dropped point
 
     def test_loo_needs_enough_points(self):
         data = tiny_dataset([(-1.0, 0.0), (1.0, 0.0)], [0, 1])
-        family = FamilySpec(kind="knn", k=2, perturbation="loo")
+        family = FamilySpec(kind="knn", k=2)
         with pytest.raises(AnalysisError):
             enumerate_family(family, data, dedupe=False)
 
@@ -393,9 +331,11 @@ class TestFamilies:
         data = tiny_dataset(
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
-        family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5), n_seeds=1)
+        family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5))
         models = enumerate_family(family, data, dedupe=False)
-        assert len(models) == 3  # two stumps plus one seeded fit
+        assert [m.run.run_id for m in models] == ["tree-000", "tree-001"]
+        assert [m.classifier.threshold for m in models] == [-0.5, 0.5]
+        assert all(m.run.utility == ExactRatio(4, 4) for m in models)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -404,8 +344,6 @@ class TestFamilies:
             FamilySpec(kind="linear")
         with pytest.raises(ValueError):
             FamilySpec(kind="knn", k=0)
-        with pytest.raises(ValueError):
-            FamilySpec(kind="knn", perturbation="bootstrap")
         with pytest.raises(ValueError):
             FamilySpec(kind="tree")
         with pytest.raises(ValueError):
