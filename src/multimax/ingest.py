@@ -1,8 +1,12 @@
 """File formats: label/prediction CSVs and the flat audit manifest.
 
-Each CSV file is parsed once and validated in bulk.  Only when a bulk check
-fails is the file rescanned row by row, to reject it with path:line context
-naming the physical line where the offending row starts; an audit either
+Each CSV file is read once and validated in bulk.  A plain file (see
+_plain_columns: printable ASCII fields without quotes, one line end
+throughout) is parsed with numpy over its bytes; every other file goes
+through the csv module, and both parsers give the same columns.  Only when a
+bulk check fails is the file rescanned row by row by the csv module, to
+reject it with path:line context naming the physical line where the
+offending row starts, so errors do not depend on the parser; an audit either
 ingests a file completely or refuses it, there is no partial acceptance.
 Quoted fields are kept verbatim, embedded line breaks included.
 Predictions arrive in long form (run_id, instance_id, prediction) using the
@@ -16,7 +20,7 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
@@ -44,19 +48,30 @@ MANIFEST_OPTIONAL = (
 )
 PROVENANCE_PREFIX = "provenance."
 _CHUNK_ROWS = 4096
+# The byte-level parse scans _PLAIN_CHUNK bytes, and keys _PLAIN_CHUNK rows,
+# at a time, so its temporaries stay small; _PLAIN_MASKS[k] keeps the low k
+# bytes of a uint64.
+_PLAIN_CHUNK = 1 << 18
+_PLAIN_FIELD_MAX = 64
+_PLAIN_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+
+_Column = tuple[list[str], np.ndarray]
+"""A data column: its distinct cells in first-appearance order, and each row's position among them."""
 
 
-def _csv_reader(path: Path) -> Iterator[list[str]]:
-    """A csv reader over the file; failures to read it become ValidationError.
-
-    The file is read with one call and decoded as it is parsed.  With
-    newline="" only LF, CR and CRLF end a line, as the csv module expects,
-    so quoted fields keep every other separator, U+2028 included.
-    """
+def _read_bytes(path: Path) -> bytes:
     try:
-        data = path.read_bytes()
+        return path.read_bytes()
     except OSError as exc:
         raise ValidationError(f"cannot read file: {exc}", path=str(path)) from None
+
+
+def _csv_reader(data: bytes) -> Iterator[list[str]]:
+    """A csv reader over a file's bytes, decoded as they are parsed.
+
+    With newline="" only LF, CR and CRLF end a line, as the csv module
+    expects, so quoted fields keep every other separator, U+2028 included.
+    """
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
 
@@ -94,8 +109,111 @@ def _stripped_columns(rows: list[list[str]], width: int) -> list[list[str]] | No
     return None if any("" in column for column in columns) else columns
 
 
-def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
-    """Parse a CSV file once and return its data columns, cells stripped.
+def _read_columns(path: Path, header: list[str]) -> list[_Column]:
+    """Read a CSV file once and return its data columns, cells stripped, from either parser."""
+    data = _read_bytes(path)
+    columns = _plain_columns(data, header)
+    if columns is None:
+        columns = [_encode(cells) for cells in _reader_columns(path, data, header)]
+    return columns
+
+
+def _encode(cells: list[str]) -> _Column:
+    """A column of cells as its distinct cells and each row's position among them."""
+    first_rows: dict[str, int] = {}  # each distinct cell's first row, in first-appearance order
+    rows = np.fromiter(map(first_rows.setdefault, cells, count()), dtype=np.intp, count=len(cells))
+    positions = np.empty(len(cells), dtype=np.intp)
+    positions[list(first_rows.values())] = np.arange(len(first_rows))
+    return list(first_rows), positions[rows]
+
+
+def _plain_columns(data: bytes, header: list[str]) -> list[_Column] | None:
+    """The columns of a plain file, parsed with numpy over its bytes; None for any other file.
+
+    A file is plain when its first line is exactly the header, every other
+    byte is LF, a comma or printable ASCII other than '"', and either no
+    byte is CR or every line ends in CRLF; the last line ends with its line
+    end, and every data row has len(header) fields of 1 to _PLAIN_FIELD_MAX
+    bytes.  The csv module reads such a file as exactly these rows, and
+    stripping changes no cell, so both parsers give the same columns.  A
+    field is keyed by its bytes as little-endian uint64 words, zero-padded,
+    which is one-to-one because a plain field holds no NUL byte; the length
+    cap bounds the keys' size and keeps every field under the csv module's
+    field limit, whose error only the reader raises.
+    """
+    head = ",".join(header).encode("ascii")
+    eol = next((len(end) for end in (b"\n", b"\r\n") if data.startswith(head + end)), 0)
+    start = len(head) + eol
+    if not eol or len(data) == start:
+        return None
+    offset_type = np.int32 if len(data) < 2**31 else np.int64
+    body = np.frombuffer(data, dtype=np.uint8)
+    pieces, unprintable = [], 0
+    for at in range(start, len(data), _PLAIN_CHUNK):
+        chunk = body[at : at + _PLAIN_CHUNK]
+        if (chunk == ord('"')).any():
+            return None
+        unprintable += np.count_nonzero((chunk - np.uint8(0x21)) > np.uint8(0x7E - 0x21))
+        pieces.append(np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n"))).astype(offset_type) + at)
+    ends = np.concatenate(pieces)
+    del pieces  # one copy of the offsets from here on
+    rows = ends.size // len(header)
+    if ends.size % len(header) or unprintable != rows * eol:
+        return None  # a control or non-ASCII byte, a lone CR, or a row with the wrong field count
+    if not rows or ends[-1] != len(data) - 1:
+        return None  # bytes after the last line end, which no delimiter closes
+    ends = ends.reshape(rows, len(header))
+    if not (body[ends[:, -1]] == ord("\n")).all() or not (body[ends[:, :-1]] == ord(",")).all():
+        return None
+    row_starts = np.concatenate(([start], ends[:-1, -1] + 1)).astype(offset_type)
+    if eol == 2:
+        ends[:, -1] -= 1
+        if not (body[ends[:, -1]] == ord("\r")).all():
+            return None
+    # words[i] is the little-endian uint64 that starts at byte i
+    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
+    columns = []
+    for k in range(len(header)):
+        starts = row_starts if k == 0 else ends[:, k - 1] + 1
+        lengths = ends[:, k] - starts
+        if lengths.min() < 1 or lengths.max() > _PLAIN_FIELD_MAX:
+            return None
+        columns.append(_plain_column(data, words, starts, lengths))
+    return columns
+
+
+def _plain_column(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> _Column:
+    """The column of fields data[start:start + length], in chunks of rows.
+
+    numpy finds each chunk's distinct keys; only those are decoded, and a
+    cell seen for the first time gets the next position.
+    """
+    positions: dict[str, int] = {}
+    codes = np.empty(starts.size, dtype=np.intp)
+    for at in range(0, starts.size, _PLAIN_CHUNK):
+        field_starts, field_lengths = starts[at : at + _PLAIN_CHUNK], lengths[at : at + _PLAIN_CHUNK]
+        width = (int(field_lengths.max()) + 7) // 8
+        keys = np.empty((field_starts.size, width), dtype=np.uint64)
+        for word in range(width):
+            at_word = field_starts + 8 * word
+            base = np.minimum(at_word, len(data) - 8)  # a word read near the end is shifted into place
+            shifted = words[base] >> (8 * (at_word - base)).astype(np.uint64)
+            keys[:, word] = shifted & _PLAIN_MASKS[np.clip(field_lengths - 8 * word, 0, 8)]
+        if width > 1:  # one structured key per field, compared word by word
+            keys = keys.view([(f"w{word}", np.uint64) for word in range(width)])
+        _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
+        order = np.argsort(first)  # the chunk's distinct fields in first-appearance order
+        bounds = zip(field_starts[first[order]].tolist(), field_lengths[first[order]].tolist())
+        lookup = np.empty(order.size, dtype=np.intp)
+        lookup[order] = [
+            positions.setdefault(data[a : a + n].decode("ascii"), len(positions)) for a, n in bounds
+        ]
+        codes[at : at + _PLAIN_CHUNK] = lookup[inverse.reshape(-1)]
+    return list(positions), codes
+
+
+def _reader_columns(path: Path, data: bytes, header: list[str]) -> list[list[str]]:
+    """Parse a CSV file's bytes with the csv module and return its data columns, cells stripped.
 
     Rows stream through in chunks of _CHUNK_ROWS, so only one chunk's row
     lists are alive at a time; that keeps both the peak memory and the
@@ -104,7 +222,7 @@ def _read_columns(path: Path, header: list[str]) -> list[list[str]]:
     _scan_rows, which names the line.
     """
     columns: list[list[str]] = [[] for _ in header]
-    reader = _csv_reader(path)
+    reader = _csv_reader(data)
     first = _next_rows(path, reader, 1)
     if not first:
         raise ValidationError("file is empty", path=str(path))
@@ -139,7 +257,7 @@ def _scan_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
     span several.  The header was checked by the bulk read.
     """
     out = []
-    reader = _csv_reader(path)
+    reader = _csv_reader(_read_bytes(path))
     next(reader)
     start = reader.line_num + 1
     for row in reader:
@@ -179,10 +297,10 @@ def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[st
     index.  The returned mapping sends each raw value to 0 or 1 and is the
     vocabulary prediction files must use.
     """
-    ids, raw = _read_columns(path, LABEL_HEADER)
-    if len(set(ids)) != len(ids):
+    (ids, id_rows), (raw, raw_rows) = _read_columns(path, LABEL_HEADER)
+    if len(ids) != len(id_rows):
         _raise_first_duplicate(path, LABEL_HEADER, "duplicate instance id {!r}")
-    values = sorted(set(raw))
+    values = sorted(raw)
     if favourable_label not in values:
         raise ValidationError(
             f"favourable label {favourable_label!r} never occurs (values: {values})",
@@ -198,8 +316,8 @@ def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[st
             f"labels must be binary; only {values[0]!r} occurs", path=str(path)
         )
     value_map = {value: 1 if value == favourable_label else 0 for value in values}
-    values = np.fromiter(map(value_map.__getitem__, raw), dtype=np.uint8, count=len(raw))
-    return LabelVector(InstanceIndex(tuple(ids)), values), value_map
+    bits = np.array([value_map[value] for value in raw], dtype=np.uint8)
+    return LabelVector(InstanceIndex(tuple(ids)), bits[raw_rows]), value_map
 
 
 def _prediction_matrix(
@@ -216,33 +334,28 @@ def _prediction_matrix(
     finds duplicates, missing cells and unknown instances, which all send
     the file to _raise_prediction_fault.
     """
-    run_col, instance_col, value_col = _read_columns(path, PREDICTION_HEADER)
-    cells = len(run_col)
-    try:
-        values = np.fromiter(map(value_map.__getitem__, value_col), dtype=np.uint8, count=cells)
-    except KeyError:
+    (run_ids, rows), (instance_ids, instance_rows), (values, value_rows) = _read_columns(
+        path, PREDICTION_HEADER
+    )
+    if not all(value in value_map for value in values):
         _raise_prediction_fault(path, value_map, index)
-    run_ids = tuple(dict.fromkeys(run_col))
-    run_positions = {run_id: pos for pos, run_id in enumerate(run_ids)}
-    rows = np.fromiter(map(run_positions.__getitem__, run_col), dtype=np.intp, count=cells)
+    bits = np.array([value_map[value] for value in values], dtype=np.uint8)
     if index is None:
-        first_run = map(instance_col.__getitem__, np.flatnonzero(rows == 0).tolist())
-        target = InstanceIndex(tuple(dict.fromkeys(first_run)))
+        first_run = dict.fromkeys(instance_rows[rows == 0].tolist())
+        target = InstanceIndex(tuple(map(instance_ids.__getitem__, first_run)))
     else:
         target = index
     width = target.size + 1  # the last column collects instances outside the index
     positions = {instance_id: pos for pos, instance_id in enumerate(target.ids)}
-    cols = np.fromiter(
-        map(positions.get, instance_col, repeat(target.size)), dtype=np.intp, count=cells
-    )
+    cols = np.array([positions.get(i, target.size) for i in instance_ids], dtype=np.intp)[instance_rows]
     counts = np.bincount(rows * width + cols, minlength=len(run_ids) * width)
     counts = counts.reshape(len(run_ids), width)
     if counts[:, -1].any() or (counts[:, :-1] != 1).any():
         _raise_prediction_fault(path, value_map, index)
     matrix = np.empty((len(run_ids), target.size), dtype=np.uint8)
-    matrix[rows, cols] = values
+    matrix[rows, cols] = bits[value_rows]
     matrix.flags.writeable = False
-    return run_ids, target, matrix
+    return tuple(run_ids), target, matrix
 
 
 def _raise_prediction_fault(
@@ -366,11 +479,10 @@ def attach_fairness(
 
 def read_group_map(path: Path) -> dict[str, str]:
     """instance_id -> group name; duplicates rejected."""
-    ids, groups = _read_columns(path, GROUP_HEADER)
-    out = dict(zip(ids, groups))
-    if len(out) != len(ids):
+    (ids, id_rows), (groups, group_rows) = _read_columns(path, GROUP_HEADER)
+    if len(ids) != len(id_rows):
         _raise_first_duplicate(path, GROUP_HEADER, "duplicate group assignment for {!r}")
-    return out
+    return dict(zip(ids, map(groups.__getitem__, group_rows.tolist())))
 
 
 @dataclass(frozen=True)

@@ -100,12 +100,14 @@ class DatasetSpec:
         if self.mode not in ("blobs", "halfplanes"):
             raise ValueError(f"unknown dataset mode {self.mode!r}")
         if self.mode == "blobs":
-            if self.std < 0:
-                raise ValueError("std must be non-negative")
             if self.std == 0 and self.favourable_center == self.unfavourable_center:
                 raise ValueError("degenerate blobs: zero spread around a shared center")
-            # the sampler keeps only draws inside the box, and a centre outside
-            # it can leave it drawing forever
+            # the sampler keeps only draws inside the box, and a spread far wider
+            # than the box, one that is not finite (NaN fails every comparison)
+            # or a centre outside it can leave it drawing forever
+            (x_lo, x_hi), _ = DEFAULT_BOX
+            if not 0 <= self.std <= x_hi - x_lo:
+                raise ValueError(f"std must be between 0 and the box width {x_hi - x_lo}, got {self.std}")
             for center in (self.favourable_center, self.unfavourable_center):
                 if not _inside(center, DEFAULT_BOX):
                     raise ValueError(f"blob center {center} lies outside the domain box")

@@ -13,8 +13,6 @@ import re
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
-
 from multimax.banding import BandingPolicy, PerformanceBand
 from multimax.core import (
     ExactRatio,
@@ -92,14 +90,6 @@ def write_manifest(path, entries) -> None:
 def band_matrices(bands, runs):
     """One BandMatrix per band, in order."""
     return [band_matrix(band, runs) for band in bands]
-
-
-def random_labels(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random 0/1 labels guaranteed to contain both classes."""
-    y = rng.integers(0, 2, size=n).astype(np.uint8)
-    y[0] = 1
-    y[-1] = 0
-    return y
 
 
 def pyramid_runs():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import json
+import string
 import tempfile
 from dataclasses import replace
 from fractions import Fraction
@@ -34,12 +35,15 @@ from multimax.ingest import (
     PREDICTION_HEADER,
     AuditManifest,
     attach_fairness,
+    csv_text,
     load_fairness_predictions,
     load_manifest,
     load_predictions,
     read_group_map,
     read_labels,
 )
+from multimax.report import load_inputs
+from multimax.zoo import SCENARIOS
 from test_report import write_fixture_inputs
 
 
@@ -657,3 +661,155 @@ def test_bulk_ingest_matches_row_oracle(data):
             assert _outcome(load_predictions, preds, label_vector, value_map) == _outcome(
                 oracle_load_predictions, preds, label_vector, value_map
             )
+
+
+# ------------------------------------------- plain files: the byte-level parse
+
+ID_CHARS = string.ascii_letters + string.digits + "_.-"
+NEAR_PLAIN = (" ", '"', "\x1f", "\r", "blank line", "no final line end", "x after the last line end")
+
+
+def _one_byte_off(data, text: str, eol: str) -> str:
+    """`text` with one byte of NEAR_PLAIN added, or its final line end taken away."""
+    kind = data.draw(st.sampled_from(NEAR_PLAIN))
+    if kind == "no final line end":
+        return text[: -len(eol)]
+    if kind == "x after the last line end":
+        return text + "x"
+    if kind == "blank line":
+        at = data.draw(st.sampled_from([k + 1 for k, c in enumerate(text) if c == "\n"]))
+        return text[:at] + eol + text[at:]
+    at = data.draw(st.integers(0, len(text) - 1))
+    return text[:at] + kind + text[at:]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_plain_ingest_matches_row_oracle(data):
+    """Plain files, faulty ones and ones a byte away from plain: the row oracle's outcome."""
+    ident = st.text(ID_CHARS, min_size=1, max_size=20)
+    ids = data.draw(st.lists(ident, min_size=1, max_size=6, unique=True))
+    run_ids = data.draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    label_rows = [[i, data.draw(st.sampled_from(("yes", "no")))] for i in ids]
+    label_rows[-1][1] = "no" if label_rows[0][1] == "yes" else "yes"
+    group_rows = [[i, data.draw(ident)] for i in ids]
+    faults = data.draw(st.sampled_from((0, 0, 1, 1, 2)))
+    for rows in (label_rows, group_rows):
+        if faults and data.draw(st.booleans()):
+            rows.insert(data.draw(st.integers(0, len(rows))), list(data.draw(st.sampled_from(rows))))
+    rows = [list(row) for row in data.draw(st.permutations([[r, i, "yes"] for r in run_ids for i in ids]))]
+    for row in rows:
+        row[2] = data.draw(st.sampled_from(("yes", "no")))
+    for _ in range(faults):
+        _inject(data, rows, data.draw(st.sampled_from(FAULTS)), run_ids)
+    eol = data.draw(st.sampled_from(("\n", "\r\n")))
+    texts = {
+        "labels.csv": csv_text(LABEL_HEADER, label_rows, eol),
+        "groups.csv": csv_text(GROUP_HEADER, group_rows, eol),
+        "preds.csv": csv_text(PREDICTION_HEADER, rows, eol),
+    }
+    near = data.draw(st.sampled_from((None,) + tuple(texts)))
+    if near is not None:
+        texts[near] = _one_byte_off(data, texts[near], eol)
+    chunk = data.draw(st.sampled_from((1, 2, 5, 1 << 18)))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_PLAIN_CHUNK", chunk), mock.patch.object(
+        ingest, "_csv_reader", wraps=ingest._csv_reader
+    ) as reader:
+        tmp = Path(tmp)
+        for name, text in texts.items():
+            (tmp / name).write_bytes(text.encode("ascii"))
+        labels, groups, preds = tmp / "labels.csv", tmp / "groups.csv", tmp / "preds.csv"
+        assert _outcome(read_group_map, groups) == _outcome(oracle_read_group_map, groups)
+        loaded = _outcome(read_labels, labels, "yes")
+        assert loaded == _outcome(oracle_read_labels, labels, "yes")
+        value_map = {"no": 0, "yes": 1}
+        assert _outcome(load_fairness_predictions, preds, value_map) == _outcome(
+            oracle_load_fairness_predictions, preds, value_map
+        )
+        if loaded[0] == "ok":
+            label_vector, value_map = loaded[1]
+            assert _outcome(load_predictions, preds, label_vector, value_map) == _outcome(
+                oracle_load_predictions, preds, label_vector, value_map
+            )
+        if not faults and near is None:
+            assert reader.call_count == 0  # every file took the byte-level parse
+
+
+class TestPlainDispatch:
+    """Only the bytes choose the parser: plain files never reach the csv module."""
+
+    ROWS = [["r1", "a", "1"], ["r1", "b", "0"], ["r2", "a", "0"], ["r2", "b", "0"]]
+    GROUPS = ["instance_id,group", "a,north", "b,south", "c,south"]
+
+    @staticmethod
+    def _near(kind: str, eol: str) -> str:
+        """A group map one byte away from plain; valid unless it ends in a line without a comma."""
+        lines = list(TestPlainDispatch.GROUPS)
+        if kind == "no final line end":
+            return eol.join(lines)
+        if kind == "x after the last line end":
+            return eol.join(lines) + eol + "x"
+        if kind == "blank line":
+            lines.insert(2, "")
+        elif kind == "\r":
+            lines[2] += "\r"  # a lone CR in a CRLF file, one CRLF among LFs
+        else:
+            lines[2] = lines[2].replace("uth", f"{kind}uth")
+        return eol.join(lines) + eol
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("kind", NEAR_PLAIN)
+    def test_one_byte_off_plain_goes_to_the_reader(self, tmp_path, kind, eol):
+        self._read_by_the_reader(tmp_path, self._near(kind, eol))
+
+    def test_crlf_needs_a_cr_at_every_line_end(self, tmp_path):
+        # as many CRs as line ends, but one line ends in LF alone
+        lines = self.GROUPS
+        self._read_by_the_reader(tmp_path, "\r\n".join(lines[:2]) + "\r\r\n" + "\n".join(lines[2:]) + "\r\n")
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_header_and_an_unended_line_go_to_the_reader(self, tmp_path, eol):
+        # no data row ends, so no delimiter follows the header
+        got = self._read_by_the_reader(tmp_path, f"instance_id,group{eol}x")
+        assert got == ("error", f"{tmp_path / 'groups.csv'}:2: expected 2 fields, got 1", 2)
+
+    @staticmethod
+    def _read_by_the_reader(tmp_path, text: str):
+        """Read a group map: once by the reader if valid, once more by the rescan if not."""
+        path = tmp_path / "groups.csv"
+        path.write_bytes(text.encode("ascii"))
+        with mock.patch.object(ingest, "_csv_reader", wraps=ingest._csv_reader) as reader:
+            got = _outcome(read_group_map, path)
+        assert reader.call_count == (1 if got[0] == "ok" else 2)
+        assert got == _outcome(oracle_read_group_map, path)
+        return got
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_plain_files_never_reach_the_reader(self, tmp_path, eol):
+        files = {
+            "labels.csv": csv_text(LABEL_HEADER, [["a", "1"], ["b", "0"]], eol),
+            "groups.csv": csv_text(GROUP_HEADER, [["a", "north"], ["b", "south"]], eol),
+            "preds.csv": csv_text(PREDICTION_HEADER, self.ROWS, eol),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_bytes(text.encode("ascii"))
+        with mock.patch.object(ingest, "_csv_reader", side_effect=AssertionError("csv module used")):
+            labels, value_map = read_labels(tmp_path / "labels.csv", "1")
+            runs = load_predictions(tmp_path / "preds.csv", labels, value_map)
+            fairness = load_fairness_predictions(tmp_path / "preds.csv", value_map)
+            groups = read_group_map(tmp_path / "groups.csv")
+        assert (labels, value_map) == oracle_read_labels(tmp_path / "labels.csv", "1")
+        assert runs == oracle_load_predictions(tmp_path / "preds.csv", labels, value_map)
+        assert fairness == oracle_load_fairness_predictions(tmp_path / "preds.csv", value_map)
+        assert groups == oracle_read_group_map(tmp_path / "groups.csv")
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_zoo_files_are_plain(self, tmp_path, scenario):
+        assert main(["zoo", "--scenario", scenario, "--out", str(tmp_path)]) == 0
+        manifest = load_manifest(tmp_path / "manifest.txt")
+        for path in tmp_path.glob("*.csv"):
+            text = path.read_bytes()
+            assert text.endswith(b"\r\n") and text.count(b"\r\n") == text.count(b"\n")
+        with mock.patch.object(ingest, "_csv_reader", side_effect=AssertionError("csv module used")):
+            labels, runs, _ = load_inputs(manifest)
+        assert labels.index.size and runs

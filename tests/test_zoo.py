@@ -103,6 +103,12 @@ class TestDatasets:
             DatasetSpec(unfavourable_center=(0.0, -6.5))
         DatasetSpec(mode="halfplanes", favourable_center=(40.0, 0.0))  # centres unused
 
+    @pytest.mark.parametrize("std", [-0.5, 12.5, 1e4, float("nan"), float("inf")])
+    def test_std_outside_the_box_width_refused(self, std):
+        # only construct: generating from such a spec would never return
+        with pytest.raises(ValueError, match="std must be between 0 and the box width 12.0"):
+            DatasetSpec(std=std)
+
     def test_negative_margin_refused(self):
         with pytest.raises(ValueError, match="margin must be non-negative"):
             DatasetSpec(mode="halfplanes", margin=-2.0)
