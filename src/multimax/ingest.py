@@ -153,8 +153,15 @@ def _plain_columns(data: bytes, header: list[str]) -> list[_Column] | None:
         chunk = body[at : at + _PLAIN_CHUNK]
         if (chunk == ord('"')).any():
             return None
-        unprintable += np.count_nonzero((chunk - np.uint8(0x21)) > np.uint8(0x7E - 0x21))
-        pieces.append(np.flatnonzero((chunk == ord(",")) | (chunk == ord("\n"))).astype(offset_type) + at)
+        is_lf = chunk == ord("\n")
+        lfs = np.count_nonzero(is_lf)
+        found = np.count_nonzero((chunk - np.uint8(0x21)) > np.uint8(0x7E - 0x21))
+        # besides its LFs, a plain chunk holds no unprintable byte (LF file) or
+        # only CRs: at most one per LF, and one more if it ends in a CR (CRLF file)
+        if found - lfs > (eol - 1) * (lfs + int(chunk[-1] == ord("\r"))):
+            return None
+        unprintable += found
+        pieces.append(np.flatnonzero((chunk == ord(",")) | is_lf).astype(offset_type) + at)
     ends = np.concatenate(pieces)
     del pieces  # one copy of the offsets from here on
     rows = ends.size // len(header)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -49,6 +48,11 @@ FONT_PX = 11
 # the display size shrinks to fit this canvas; the viewBox keeps the layout
 MAX_WIDTH = 1600
 MAX_HEIGHT = 1200
+
+
+def _escape(text: str) -> str:
+    """xml.sax.saxutils.escape without its import, which loads urllib and http."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def band_colour(position: int) -> str:
@@ -120,7 +124,7 @@ class _SvgDoc:
     ) -> None:
         self.elements.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-size="{size}" '
-            f'text-anchor="{anchor}" fill="{fill}">{escape(content)}</text>'
+            f'text-anchor="{anchor}" fill="{fill}">{_escape(content)}</text>'
         )
 
     def render(self, width: float, height: float) -> str:

@@ -12,9 +12,9 @@ the same audit produces byte-identical reports and artefacts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -261,8 +261,65 @@ def validate_payload(payload: dict) -> None:
 
 
 def emit_json(payload: dict) -> str:
-    """Canonical serialisation: sorted keys, two-space indent, one newline."""
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """Canonical serialisation: sorted keys, two-space indent, one newline.
+
+    The bytes of json.dumps(payload, indent=2, sort_keys=True,
+    ensure_ascii=False) + "\n", built without its pure-Python indenting
+    encoder, which chains one generator per nesting level.  Strings, ints,
+    floats, bools and None are leaves; lists, tuples and dicts with str keys
+    nest.  Anything else, a non-str key or a subclass of a leaf type
+    included, raises TypeError.
+    """
+    return _json_value(payload, "\n") + "\n"
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == float("inf"):
+        return "Infinity"
+    if value == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# the leaf types, by exact type: a subclass, such as numpy.float64, is refused
+_JSON_LEAVES = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_value(value, newline: str) -> str:
+    """value as indented JSON; newline is a line break and the current indent.
+
+    Plain loops: on Python 3.11 they beat a comprehension or map here.
+    """
+    inner = newline + "  "
+    parts = []
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        for key in sorted(value):
+            item = value[key]
+            leaf = _JSON_LEAVES.get(type(item))
+            # encode_basestring raises TypeError for a key that is not a str
+            parts.append(encode_basestring(key) + ": " + (leaf(item) if leaf else _json_value(item, inner)))
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        for item in value:
+            leaf = _JSON_LEAVES.get(type(item))
+            parts.append(leaf(item) if leaf else _json_value(item, inner))
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is None:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return leaf(value)
 
 
 def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> AuditOutcome:

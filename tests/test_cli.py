@@ -3,16 +3,22 @@ from __future__ import annotations
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from helpers import write_labels_csv, write_manifest, write_predictions_csv
 from multimax import ingest
-from multimax.cli import main
+from multimax.cli import ZOO_SCENARIOS, main
 from multimax.core import InstanceIndex, LabelVector, ModelRun, PredictionVector
 from multimax.errors import ValidationError
 from multimax.ingest import ensemble_csv
+from multimax.zoo import SCENARIOS
 from test_report import write_fixture_inputs
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*argv) -> int:
@@ -218,11 +224,23 @@ class TestZooCommand:
         # no input file changed, manifest included, and no temporary file is left
         assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-    def test_unknown_scenario_rejected_by_parser(self, tmp_path, capsys):
+    def test_unknown_scenario_rejected_by_parser(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage to the terminal width
         with pytest.raises(SystemExit) as excinfo:
             run_cli("zoo", "--scenario", "imaginary", "--out", str(tmp_path))
         assert excinfo.value.code == 2
-        assert "imaginary" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "usage: multimax zoo [-h] --scenario\n"
+            "                    {borderline-linear,constrained-knn,ensemble-cost,paired-knn,polynomial,separable-linear,stump}\n"
+            "                    [--seed SEED] --out OUT [--banding BANDING]\n"
+            "                    [--tie-break TIE_BREAK]\n"
+            "multimax zoo: error: argument --scenario: invalid choice: 'imaginary' (choose from "
+            "'borderline-linear', 'constrained-knn', 'ensemble-cost', 'paired-knn', 'polynomial', "
+            "'separable-linear', 'stump')\n"
+        )
+
+    def test_scenario_choices_are_the_sorted_zoo(self):
+        assert ZOO_SCENARIOS == tuple(sorted(SCENARIOS))
 
     def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIMAX_SEED", "7")
@@ -406,3 +424,12 @@ class TestProfileCommand:
         run_cli("profile", "--manifest", str(manifest), "--kind", "fairness_profile", "--out", str(out))
         run_cli("audit", "--manifest", str(manifest), "--out", str(tmp_path / "full"))
         assert out.read_bytes() == (tmp_path / "full" / "fairness_profile.svg").read_bytes()
+
+
+def test_cli_import_loads_neither_the_zoo_nor_the_network_stack():
+    # urllib.parse is not listed: pathlib imports it
+    code = "import sys, multimax.cli; print(*sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    unwanted = {"xml.sax", "urllib.request", "http.client", "email", "ssl", "multimax.zoo"}
+    assert unwanted.isdisjoint(loaded.stdout.split())

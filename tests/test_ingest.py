@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -783,6 +784,24 @@ class TestPlainDispatch:
         assert reader.call_count == (1 if got[0] == "ok" else 2)
         assert got == _outcome(oracle_read_group_map, path)
         return got
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_an_unprintable_byte_stops_the_scan_at_its_chunk(self, tmp_path, eol):
+        # the tab is in the first chunk of both files: the long file's other
+        # chunks are never scanned, so both take as many byte counts
+        counted = {}
+        for name, rows in (("short", 1), ("long", 200)):
+            lines = ["instance_id,group", "a\t,north"] + [f"b{k},south" for k in range(rows)]
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes((eol.join(lines) + eol).encode("ascii"))
+            with mock.patch.object(ingest, "_PLAIN_CHUNK", 8), mock.patch.object(
+                ingest, "_csv_reader", wraps=ingest._csv_reader
+            ) as reader, mock.patch.object(ingest.np, "count_nonzero", wraps=np.count_nonzero) as counts:
+                groups = read_group_map(path)
+            assert reader.call_count == 1
+            assert groups == oracle_read_group_map(path) and groups["a"] == "north" and len(groups) == rows + 1
+            counted[name] = counts.call_count
+        assert counted["long"] == counted["short"]
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_plain_files_never_reach_the_reader(self, tmp_path, eol):

@@ -30,6 +30,7 @@ from multimax.profiles import (
     FAVOURABLE_SHADE,
     MAX_WIDTH,
     UNFAVOURABLE_SHADE,
+    _escape,
     _mix_towards_white,
     band_colour,
     fairness_profile,
@@ -94,6 +95,12 @@ class TestStyle:
     def test_mix_towards_white(self):
         assert _mix_towards_white("#000000", 0.0) == "#ffffff"
         assert _mix_towards_white("#123456", 1.0) == "#123456"
+
+    @given(st.text(st.sampled_from("&<>;amplt\"'") | st.characters()))
+    def test_escape_matches_saxutils(self, text):
+        from xml.sax.saxutils import escape
+
+        assert _escape(text) == escape(text)
 
 
 class TestStabilityProfile:

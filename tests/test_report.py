@@ -4,7 +4,10 @@ import json
 import os
 import stat
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import two_band_runs, write_labels_csv, write_manifest, write_predictions_csv
 from multimax import ingest
@@ -191,6 +194,31 @@ class TestValidatePayload:
         payload["bands"] = []
         with pytest.raises(InvariantViolation, match="no bands"):
             validate_payload(payload)
+
+
+class TestEmitJson:
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats()
+            | st.text(st.sampled_from("a\u00e9\u2603\U0001f600\x00\x1f\x7f\"\\/\n\t") | st.characters()),
+            lambda inner: st.lists(inner)
+            | st.lists(inner).map(tuple)
+            | st.dictionaries(st.text(max_size=4), inner),
+            max_leaves=40,
+        )
+    )
+    def test_emit_json_is_indented_json_dumps(self, tree):
+        assert emit_json(tree) == json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    @pytest.mark.parametrize(
+        "value", [{1: "a"}, {None: 1}, [{"a": {2.5: 1}}], {"a": b"x"}, [{1, 2}], object(), [np.float64(0.5)]]
+    )
+    def test_emit_json_refuses_what_is_not_json(self, value):
+        with pytest.raises(TypeError):
+            emit_json(value)
 
 
 class TestAuditFiles:
