@@ -91,7 +91,7 @@ class BandingPolicy:
             return cls(mode="tolerance", delta=delta, tie_break=order)
         if text.startswith("round:"):
             raw = text[len("round:"):]
-            if not raw.isdigit():
+            if not (raw.isascii() and raw.isdigit()):
                 raise ValueError(f"cannot parse rounding digits {raw!r}")
             return cls(mode="rounded", digits=int(raw), tie_break=order)
         raise ValueError(f"unknown banding policy {text!r}; expected strict, tol:<delta> or round:<digits>")
@@ -159,10 +159,6 @@ class PerformanceBand:
     @property
     def run_count(self) -> int:
         return len(self.run_ids)
-
-    def contains_utility(self, utility: ExactRatio) -> bool:
-        """Would a run with this utility fall into the band?"""
-        return self.policy.admits(self.epsilon, utility)
 
 
 @dataclass(frozen=True)

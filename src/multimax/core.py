@@ -182,9 +182,6 @@ class _BinaryVector:
             return NotImplemented
         return self.index == other.index and np.array_equal(self.values, other.values)
 
-    def value_for(self, instance_id: str) -> int:
-        return int(self.values[self.index.position(instance_id)])
-
 
 @dataclass(frozen=True, eq=False)
 class LabelVector(_BinaryVector):

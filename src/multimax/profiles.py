@@ -17,6 +17,7 @@ holding the plotted numbers, because pixels are not an API.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -362,10 +363,10 @@ def multiplicity_panel(analyses: Sequence[BandAnalysis]) -> RenderedSvg:
     """Three stacked panels over one band axis: ambiguity, discrepancy, counts.
 
     Discrepancy draws each band's pairwise fractions as a mirrored
-    histogram; a single-run band draws an x marker (no pairs exist), and a
-    band whose pairs all agree draws a flat dash at zero.  Run-count bars
-    use a log scale.  The sidecar keeps the layout of a one-fold panel: the
-    per-band numbers sit in one fold, "all".
+    histogram, binned in integers; a single-run band draws an x marker (no
+    pairs exist), and a band whose pairs all agree draws a flat dash at
+    zero.  Run-count bars use a log scale.  The sidecar keeps the layout of a
+    one-fold panel: the per-band numbers sit in one fold, "all".
     """
     if not analyses:
         raise AnalysisError("no bands to draw")
@@ -410,17 +411,15 @@ def multiplicity_panel(analyses: Sequence[BandAnalysis]) -> RenderedSvg:
     doc.line(margin_left, disc_top + panel_h, width - 30, disc_top + panel_h)
     doc.line(margin_left, disc_top, margin_left, disc_top + panel_h)
     stats = [a.discrepancy for a in analyses]
-    fractions = [
-        np.repeat([k / s.instance_count for k in s.pair_counts], list(s.pair_counts.values()))
-        for s in stats
-    ]
-    disc_max = max([float(v.max()) for v in fractions if v.size] + [0.0]) or 1.0
+    # K/N, the panel's largest pair fraction, tops the axis; only its tick labels use a float
+    top = max((s.max_fraction.as_fraction() for s in stats if s.pair_counts), default=Fraction(0))
+    disc_max = float(top) or 1.0
     for tick in (0.0, 0.5, 1.0):
         ty = disc_top + panel_h - tick * (panel_h - 14)
         doc.text(margin_left - 6, ty + 3, f"{tick * disc_max * 100:.1f}%", FONT_PX - 2, anchor="end")
     n_bins = 12
     markers: dict[str, str] = {}
-    for i, (label, s, values) in enumerate(zip(band_order, stats, fractions)):
+    for i, (label, s) in enumerate(zip(band_order, stats)):
         x = band_x(i)
         if s.single_run:
             markers[label] = "single-run"
@@ -429,13 +428,17 @@ def multiplicity_panel(analyses: Sequence[BandAnalysis]) -> RenderedSvg:
             doc.polyline([(x - arm, yy - arm), (x + arm, yy + arm)], "#444444")
             doc.polyline([(x - arm, yy + arm), (x + arm, yy - arm)], "#444444")
             continue
-        if not values.any():
+        if not any(s.pair_counts):
             markers[label] = "all-zero"
             doc.line(x - 8, disc_top + panel_h, x + 8, disc_top + panel_h, stroke="#444444")
             continue
         markers[label] = "violin"
-        hist, edges = np.histogram(values, bins=n_bins, range=(0.0, disc_max))
-        peak = int(hist.max())
+        # k/n falls in the half-open bin [b, b + 1) * (K/N) / n_bins; K/N itself in the last
+        hist = [0] * n_bins
+        for k, c in s.pair_counts.items():
+            b = n_bins * k * top.denominator // (top.numerator * s.instance_count)
+            hist[min(b, n_bins - 1)] += c
+        peak = max(hist)
         half_unit = (col_w / 2 - 4) / peak
         bin_h = (panel_h - 14) / n_bins
         for b in range(n_bins):

@@ -14,8 +14,8 @@ from .classifiers import (
     line_params,
 )
 from .datasets import Box, Dataset2D, DatasetSpec, PointSet, generate_dataset, grid_point_set
-from .families import FamilySpec, FlipOutcome, ZooModel, enumerate_family, flip_search
-from .regions import RegionEstimate, estimate_disputable_region, mask_to_pgm
+from .families import FamilySpec, enumerate_family
+from .regions import RegionEstimate, estimate_disputable_region
 from .scenarios import SCENARIOS, Scenario, build_scenario
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Dataset2D",
     "DatasetSpec",
     "FamilySpec",
-    "FlipOutcome",
     "HalfplaneClassifier",
     "NearestNeighborsClassifier",
     "PointSet",
@@ -32,13 +31,10 @@ __all__ = [
     "RegionEstimate",
     "SCENARIOS",
     "Scenario",
-    "ZooModel",
     "build_scenario",
     "enumerate_family",
     "estimate_disputable_region",
-    "flip_search",
     "generate_dataset",
     "grid_point_set",
     "line_params",
-    "mask_to_pgm",
 ]

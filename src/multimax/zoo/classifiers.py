@@ -1,10 +1,9 @@
 """Small from-scratch classifiers over 2-D points.
 
-Each classifier exposes predict (fit where it learns from data,
-decision_function where a margin exists).  predict takes an (n, 2) array and
-returns uint8 0/1 with 1 the favourable class.  Determinism is part of the
-contract: stable tie-breaking everywhere, explicit seeds wherever randomness
-is involved.
+Each classifier exposes predict (and fit where it learns from data).
+predict takes an (n, 2) array and returns uint8 0/1 with 1 the favourable
+class.  Determinism is part of the contract: stable tie-breaking everywhere,
+explicit seeds wherever randomness is involved.
 """
 
 from __future__ import annotations
@@ -33,12 +32,10 @@ class HalfplaneClassifier:
         self.angle = float(angle)
         self.offset = float(offset)
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return X[:, 0] * math.cos(self.angle) + X[:, 1] * math.sin(self.angle) - self.offset
-
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0).astype(np.uint8)
+        X = np.asarray(X, dtype=np.float64)
+        margin = X[:, 0] * math.cos(self.angle) + X[:, 1] * math.sin(self.angle) - self.offset
+        return (margin > 0).astype(np.uint8)
 
 
 class PolynomialBoundaryClassifier:
@@ -73,13 +70,10 @@ class PolynomialBoundaryClassifier:
         self.coefficients = tuple(float(c) for c in coeffs)
         return self
 
-    def decision_function(self, X: np.ndarray) -> np.ndarray:
+    def predict(self, X: np.ndarray) -> np.ndarray:
         if self.coefficients is None:
             raise RuntimeError("classifier is not fitted")
-        return self._design(X) @ np.array(self.coefficients)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return (self.decision_function(X) > 0).astype(np.uint8)
+        return (self._design(X) @ np.array(self.coefficients) > 0).astype(np.uint8)
 
     def perturbed(self, rng: np.random.Generator, scale: float) -> "PolynomialBoundaryClassifier":
         """A copy with gaussian noise of the given scale on every coefficient."""

@@ -11,13 +11,10 @@ that are indistinguishable on a dense behaviour grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from ..core import ModelRun, PredictionVector
-from ..errors import AnalysisError, InvariantViolation
-from ..banding import PerformanceBand
+from ..errors import AnalysisError
 from .classifiers import (
     AxisAlignedTreeClassifier,
     HalfplaneClassifier,
@@ -68,14 +65,6 @@ class FamilySpec:
             raise ValueError("a tree family needs at least one stump threshold")
 
 
-@dataclass(frozen=True)
-class ZooModel:
-    """An enumerated candidate: the audit-facing run plus its classifier."""
-
-    run: ModelRun
-    classifier: object
-
-
 def _candidates(spec: FamilySpec, data: Dataset2D) -> list[object]:
     if spec.kind == "linear":
         return [HalfplaneClassifier(angle, offset) for angle, offset in spec.lines]
@@ -100,7 +89,7 @@ def enumerate_family(
     data: Dataset2D,
     fairness: PointSet | None = None,
     dedupe: bool = True,
-) -> tuple[ZooModel, ...]:
+) -> tuple[ModelRun, ...]:
     """Fit the family's candidate pool on data and evaluate it into ModelRuns.
 
     data is both the training and the validation set.  Run ids are assigned
@@ -114,7 +103,7 @@ def enumerate_family(
     fair_points = fairness if fairness is not None else data.points
     fair_X = fair_points.as_array()
     grid = grid_centres(data.domain_box, GRID_RESOLUTION) if dedupe else None
-    models: list[ZooModel] = []
+    runs: list[ModelRun] = []
     seen: set[bytes] = set()
     width = max(3, len(str(max(0, len(pool) - 1))))
     for i, classifier in enumerate(pool):
@@ -135,68 +124,6 @@ def enumerate_family(
             labels=data.labels,
             preds_fairness=preds_fair,
         )
-        models.append(ZooModel(run=run, classifier=classifier))
-    return tuple(models)
+        runs.append(run)
+    return tuple(runs)
 
-
-@dataclass(frozen=True)
-class FlipOutcome:
-    """Result of hunting for an equally-good model that flips one instance.
-
-    exhausted is True only when the whole candidate pool was examined without
-    success; a budget cut-off leaves it False because untried candidates
-    remain.
-    """
-
-    found: ZooModel | None
-    tried: int
-    exhausted: bool
-
-
-def flip_search(
-    band: PerformanceBand,
-    models: Sequence[ZooModel],
-    validation: Dataset2D,
-    fairness: PointSet | None,
-    target_id: str,
-    target_class: int,
-    budget: int = 1000,
-) -> FlipOutcome:
-    """Look for a band-level model assigning target_class to one instance.
-
-    Band members are scanned first (sorted by run id), then the remaining
-    candidates in enumeration order, stopping after `budget` examinations.
-    A hit is verified from scratch: the classifier is re-run on the target
-    point and on the validation set before the model is returned.
-    """
-    if target_class not in (0, 1):
-        raise AnalysisError(f"target_class must be 0 or 1, got {target_class}")
-    if budget < 1:
-        raise AnalysisError("budget must be at least 1")
-    fair_points = fairness if fairness is not None else validation.points
-    if target_id not in fair_points.index:
-        raise AnalysisError(f"target instance {target_id!r} is not in the fairness index")
-    target_pos = fair_points.index.position(target_id)
-    target_point = np.array([fair_points.points[target_pos]], dtype=np.float64)
-    by_id = {model.run.run_id: model for model in models}
-    member_models = [by_id[rid] for rid in band.run_ids if rid in by_id]
-    if len(member_models) != len(band.run_ids):
-        missing = next(rid for rid in band.run_ids if rid not in by_id)
-        raise AnalysisError(f"band member {missing!r} missing from the candidate pool")
-    others = [m for m in models if m.run.run_id not in band.run_ids]
-    tried = 0
-    for model in member_models + others:
-        if tried >= budget:
-            return FlipOutcome(found=None, tried=tried, exhausted=False)
-        tried += 1
-        run = model.run
-        if run.preds_fairness.value_for(target_id) != target_class:
-            continue
-        if not band.contains_utility(run.utility):
-            continue
-        fresh_target = int(model.classifier.predict(target_point)[0])
-        fresh_val = model.classifier.predict(validation.points.as_array())
-        if fresh_target != target_class or not np.array_equal(fresh_val, run.preds_validation.values):
-            raise InvariantViolation(f"stored predictions for run {run.run_id!r} do not replay")
-        return FlipOutcome(found=model, tried=tried, exhausted=False)
-    return FlipOutcome(found=None, tried=tried, exhausted=True)

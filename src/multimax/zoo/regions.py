@@ -72,18 +72,3 @@ def estimate_disputable_region(
         mask=disputed.reshape(resolution, resolution),
     )
 
-
-def mask_to_pgm(mask: np.ndarray) -> str:
-    """Render a boolean mask as a P1 portable bitmap (1 = disputed).
-
-    Image rows go top-down in y (largest y first) and left-right in x, the
-    usual raster orientation for mask[i, j] with i = x and j = y.
-    """
-    if mask.ndim != 2:
-        raise ValueError("mask must be two-dimensional")
-    nx, ny = mask.shape
-    lines = [f"P1\n{nx} {ny}"]
-    for j in range(ny - 1, -1, -1):
-        lines.append(" ".join("1" if mask[i, j] else "0" for i in range(nx)))
-    return "\n".join(lines) + "\n"
-

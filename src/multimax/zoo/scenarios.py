@@ -1,7 +1,7 @@
 """Ready-made zoo scenarios with behaviour that is known by construction.
 
 Each builder returns a Scenario: datasets, the family spec, and the already
-enumerated models.  The geometries are engineered so the interesting
+enumerated runs.  The geometries are engineered so the interesting
 quantities (band sizes, disputable counts, ensemble costs) are exact
 integers, which makes the scenarios equally useful as CLI demos and as test
 fixtures.
@@ -17,7 +17,7 @@ from ..core import InstanceIndex, LabelVector, ModelRun
 from ..errors import AnalysisError
 from .classifiers import line_params
 from .datasets import Box, Dataset2D, DatasetSpec, PointSet, generate_dataset, grid_point_set
-from .families import FamilySpec, ZooModel, enumerate_family
+from .families import FamilySpec, enumerate_family
 
 # opposite-label pairs in the paired-knn lattice, ten to a row
 PAIRS = 50
@@ -33,12 +33,8 @@ class Scenario:
     validation: Dataset2D
     fairness: PointSet | None
     family: FamilySpec
-    models: tuple[ZooModel, ...]
+    runs: tuple[ModelRun, ...]
     notes: str = ""
-
-    @property
-    def runs(self) -> tuple[ModelRun, ...]:
-        return tuple(model.run for model in self.models)
 
 
 def separable_linear(seed: int = 0) -> Scenario:
@@ -53,13 +49,13 @@ def separable_linear(seed: int = 0) -> Scenario:
     offsets = [-0.8 + 0.2 * i for i in range(9)]
     family = FamilySpec(kind="linear", lines=tuple((0.0, o) for o in offsets))
     fairness = grid_point_set(data.domain_box, per_side=20)
-    models = enumerate_family(family, data, fairness=fairness)
+    runs = enumerate_family(family, data, fairness=fairness)
     return Scenario(
         name="separable-linear",
         validation=data,
         fairness=fairness,
         family=family,
-        models=models,
+        runs=runs,
         notes="perfect-utility band whose members disagree on a vertical strip",
     )
 
@@ -93,13 +89,13 @@ def borderline_linear(seed: int = 0) -> Scenario:
             (math.pi / 2, 0.0),
         ),
     )
-    models = enumerate_family(family, data)
+    runs = enumerate_family(family, data)
     return Scenario(
         name="borderline-linear",
         validation=data,
         fairness=None,
         family=family,
-        models=models,
+        runs=runs,
         notes="one top band, three members, four disputable borderline points",
     )
 
@@ -129,13 +125,13 @@ def ensemble_cost(seed: int = 0) -> Scenario:
             line_params(1.0, 0.0, -2.0),
         ),
     )
-    models = enumerate_family(family, data)
+    runs = enumerate_family(family, data)
     return Scenario(
         name="ensemble-cost",
         validation=data,
         fairness=None,
         family=family,
-        models=models,
+        runs=runs,
         notes="99/100 band of three; the fair ensemble pays one accuracy point",
     )
 
@@ -165,13 +161,13 @@ def paired_knn(seed: int = 0) -> Scenario:
         domain_box=box,
     )
     family = FamilySpec(kind="knn", k=1)
-    models = enumerate_family(family, data, dedupe=False)
+    runs = enumerate_family(family, data, dedupe=False)
     return Scenario(
         name="paired-knn",
         validation=data,
         fairness=None,
         family=family,
-        models=models,
+        runs=runs,
         notes=f"{PAIRS // cols}x{cols} pair lattice; the leave-one-out band is fully expressive",
     )
 
@@ -180,19 +176,19 @@ def constrained_knn(seed: int = 0) -> Scenario:
     """Heavily smoothed k-NN (k = KNN_K) on two tight blobs: nothing can be flipped.
 
     With k comparable to the class sizes (50 each) every candidate predicts
-    the local majority, so all runs agree everywhere and a flip search must
-    exhaust its pool empty-handed.
+    the local majority, so all runs agree everywhere and the band has no
+    disputable instance.
     """
     spec = DatasetSpec(mode="blobs", std=0.5)
     data = generate_dataset(spec, n_per_class=50, seed=seed)
     family = FamilySpec(kind="knn", k=KNN_K)
-    models = enumerate_family(family, data, dedupe=False)
+    runs = enumerate_family(family, data, dedupe=False)
     return Scenario(
         name="constrained-knn",
         validation=data,
         fairness=None,
         family=family,
-        models=models,
+        runs=runs,
         notes="strongly constrained family; individual outcomes are undisputed",
     )
 
@@ -207,13 +203,13 @@ def stump(seed: int = 0) -> Scenario:
     spec = DatasetSpec(mode="halfplanes", margin=1.0)
     data = generate_dataset(spec, n_per_class=60, seed=seed)
     family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5))
-    models = enumerate_family(family, data)
+    runs = enumerate_family(family, data)
     return Scenario(
         name="stump",
         validation=data,
         fairness=None,
         family=family,
-        models=models,
+        runs=runs,
         notes="perfect stump pair; disputable region is one rectangular strip",
     )
 
@@ -223,13 +219,13 @@ def polynomial(seed: int = 0) -> Scenario:
     spec = DatasetSpec(mode="halfplanes", margin=1.0)
     data = generate_dataset(spec, n_per_class=60, seed=seed)
     family = FamilySpec(kind="polynomial", degree=2, n_variants=11, scale=0.08, seed=seed)
-    models = enumerate_family(family, data)
+    runs = enumerate_family(family, data)
     return Scenario(
         name="polynomial",
         validation=data,
         fairness=None,
         family=family,
-        models=models,
+        runs=runs,
         notes="perturbed polynomial fits spread across nearby utility levels",
     )
 

@@ -33,6 +33,11 @@ class TestPolicy:
         for text in ("", "round:", "round:0", "round:x", "tol:", "tol:abc", "exact", "tol:1/0"):
             with pytest.raises(ValueError):
                 BandingPolicy.parse(text)
+        # str.isdigit admits superscripts and other scripts' digits; int() then
+        # fails on one and silently reads the other
+        for text in ("round:\u00b3", "round:\u0661"):
+            with pytest.raises(ValueError, match="cannot parse rounding digits"):
+                BandingPolicy.parse(text)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +138,7 @@ class TestRounded:
         for fine in strict:
             holders = [b for b in rounded if set(fine.run_ids) <= set(b.run_ids)]
             assert len(holders) == 1
-            assert holders[0].contains_utility(fine.epsilon)
+            assert holders[0].policy.admits(holders[0].epsilon, fine.epsilon)
 
 
 class TestTolerance:
@@ -156,9 +161,9 @@ class TestTolerance:
         banding = partition(runs, BandingPolicy.parse("tol:3/100"))
         top = banding.top
         assert top.label == "[97/100, 1]"
-        assert top.contains_utility(ExactRatio(97, 100))
-        assert top.contains_utility(ExactRatio(1, 1))
-        assert not top.contains_utility(ExactRatio(9699, 10_000))
+        assert top.policy.admits(top.epsilon, ExactRatio(97, 100))
+        assert top.policy.admits(top.epsilon, ExactRatio(1, 1))
+        assert not top.policy.admits(top.epsilon, ExactRatio(9699, 10_000))
 
     def test_duplicate_intervals_collapse(self):
         # every anchor's interval clips to [0, 1]: one band, anchored at the best utility

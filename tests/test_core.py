@@ -186,11 +186,6 @@ class TestVectors:
         assert vec != PredictionVector(make_index(3, prefix="j"), (1, 0, 1))
         assert vec != LabelVector(idx, (1, 0, 1))
 
-    def test_value_for(self):
-        idx = make_index(3)
-        vec = PredictionVector(idx, (1, 0, 1))
-        assert vec.value_for("i0001") == 0
-
 
 class TestConfusion:
     def test_known_matrix(self):

@@ -330,6 +330,22 @@ class TestMultiplicityPanel:
         widths = [float(w) for w, fill in rects if fill == band_colour(0)][:-1]
         assert [w / max(widths) for w in widths] == pytest.approx([1 / 3, 1, 2 / 3], abs=0.01)
 
+    def test_fraction_on_a_bin_edge_opens_its_bin(self):
+        # n = 11, K/N = 9/11: 3/11 and 6/11 lie exactly on the lower edges of
+        # bins 4 and 8, which float edges would round into bins 3 and 7
+        idx = make_index(11)
+        labels = LabelVector(idx, (1,) * 6 + (0,) * 5)
+        ones = {"a": 0, "b": 0, "c": 9, "d": 6}
+        runs = [run_from_bits(r, labels, (1,) * m + (0,) * (11 - m)) for r, m in ones.items()]
+        analysis = analyse_band(whole_band(runs), runs, labels)
+        assert analysis.discrepancy.pair_counts == {0: 1, 3: 1, 6: 2, 9: 2}
+        rendered = multiplicity_panel([analysis])
+        rects = re.findall(r'<rect [^>]*y="([\d.]+)" [^>]*fill="([^"]+)"', rendered.svg)
+        # violin bins bottom-up, then the run-count bar
+        ys = [float(y) for y, fill in rects if fill == band_colour(0)][:-1]
+        bottom, step = ys[0], (ys[0] - ys[-1]) / 11
+        assert [round((bottom - y) / step) for y in ys] == [0, 4, 8, 11]
+
     def test_fold_sidecar_numbers(self):
         rendered = multiplicity_panel(self._panel())
         (fold_entry,) = rendered.sidecar["folds"]

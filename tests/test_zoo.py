@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from multimax.banding import BandingPolicy, PerformanceBand, partition
 from multimax.core import ExactRatio, InstanceIndex, LabelVector
-from multimax.errors import AnalysisError, InvariantViolation
+from multimax.errors import AnalysisError
 from multimax.zoo.classifiers import (
     AxisAlignedTreeClassifier,
     HalfplaneClassifier,
@@ -25,12 +25,8 @@ from multimax.zoo.datasets import (
     generate_dataset,
     grid_point_set,
 )
-from multimax.zoo.families import FamilySpec, enumerate_family, flip_search
-from multimax.zoo.regions import (
-    estimate_disputable_region,
-    grid_centres,
-    mask_to_pgm,
-)
+from multimax.zoo.families import FamilySpec, enumerate_family
+from multimax.zoo.regions import estimate_disputable_region, grid_centres
 from multimax.zoo.scenarios import SCENARIOS, build_scenario
 
 
@@ -294,10 +290,6 @@ class TestRegions:
         with pytest.raises(AnalysisError, match="'b'"):
             estimate_disputable_region(band, {"a": stump}, DEFAULT_BOX, 8)
 
-    def test_pgm_rendering(self):
-        mask = np.array([[True, False], [False, False]])
-        assert mask_to_pgm(mask) == "P1\n2 2\n0 0\n1 0\n"
-
 
 class TestFamilies:
     def test_linear_enumeration(self):
@@ -305,9 +297,9 @@ class TestFamilies:
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
         family = FamilySpec(kind="linear", lines=((0.0, -0.5), (0.0, 0.5)))
-        models = enumerate_family(family, data)
-        assert [m.run.run_id for m in models] == ["linear-000", "linear-001"]
-        assert all(m.run.utility == ExactRatio(4, 4) for m in models)
+        runs = enumerate_family(family, data)
+        assert [r.run_id for r in runs] == ["linear-000", "linear-001"]
+        assert all(r.utility == ExactRatio(4, 4) for r in runs)
 
     def test_dedupe_keeps_first_and_preserves_ids(self):
         data = tiny_dataset([(-1.0, 0.0), (1.0, 0.0)], [0, 1])
@@ -315,17 +307,17 @@ class TestFamilies:
             kind="linear", lines=((0.0, 0.0), (0.0, 0.0), (0.0, 0.5))
         )
         deduped = enumerate_family(family, data)
-        assert [m.run.run_id for m in deduped] == ["linear-000", "linear-002"]
+        assert [r.run_id for r in deduped] == ["linear-000", "linear-002"]
         kept = enumerate_family(family, data, dedupe=False)
-        assert [m.run.run_id for m in kept] == ["linear-000", "linear-001", "linear-002"]
+        assert [r.run_id for r in kept] == ["linear-000", "linear-001", "linear-002"]
 
     def test_loo_pool_size(self):
         data = tiny_dataset(
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
         family = FamilySpec(kind="knn", k=1)
-        models = enumerate_family(family, data, dedupe=False)
-        assert len(models) == 5  # base + one per dropped point
+        runs = enumerate_family(family, data, dedupe=False)
+        assert len(runs) == 5  # base + one per dropped point
 
     def test_loo_needs_enough_points(self):
         data = tiny_dataset([(-1.0, 0.0), (1.0, 0.0)], [0, 1])
@@ -337,11 +329,16 @@ class TestFamilies:
         data = tiny_dataset(
             [(-2.0, 0.0), (-1.0, 0.0), (1.0, 0.0), (2.0, 0.0)], [0, 0, 1, 1]
         )
-        family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5))
-        models = enumerate_family(family, data, dedupe=False)
-        assert [m.run.run_id for m in models] == ["tree-000", "tree-001"]
-        assert [m.classifier.threshold for m in models] == [-0.5, 0.5]
-        assert all(m.run.utility == ExactRatio(4, 4) for m in models)
+        family = FamilySpec(kind="tree", thresholds=(-0.5, 0.5, 1.5))
+        runs = enumerate_family(family, data, dedupe=False)
+        assert [r.run_id for r in runs] == ["tree-000", "tree-001", "tree-002"]
+        # favourable strictly above each threshold, in threshold order
+        assert [r.preds_validation.values.tolist() for r in runs] == [
+            [0, 0, 1, 1],
+            [0, 0, 1, 1],
+            [0, 0, 0, 1],
+        ]
+        assert [r.utility for r in runs] == [ExactRatio(4, 4), ExactRatio(4, 4), ExactRatio(3, 4)]
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -356,90 +353,12 @@ class TestFamilies:
             FamilySpec(kind="polynomial", degree=0)
 
 
-class TestFlipSearch:
-    @staticmethod
-    def _scenario():
-        return build_scenario("constrained-knn", seed=0)
-
-    def test_finds_a_flip_when_one_exists(self):
-        scenario = self._scenario()
-        band = partition(scenario.runs, BandingPolicy(mode="strict")).top
-        target = scenario.validation.index.ids[0]
-        outcome = flip_search(
-            band,
-            scenario.models,
-            scenario.validation,
-            scenario.fairness,
-            target_id=target,
-            target_class=1,
-        )
-        assert outcome.found is not None
-        assert outcome.found.run.preds_fairness.value_for(target) == 1
-        assert not outcome.exhausted
-
-    def test_exhaustion_is_reported_honestly(self):
-        # k=42 majority voting is immovable: no leave-one-out variant
-        # flips a deep favourable point to unfavourable.
-        scenario = self._scenario()
-        band = partition(scenario.runs, BandingPolicy(mode="strict")).top
-        target = scenario.validation.index.ids[0]
-        outcome = flip_search(
-            band,
-            scenario.models,
-            scenario.validation,
-            scenario.fairness,
-            target_id=target,
-            target_class=0,
-        )
-        assert outcome.found is None
-        assert outcome.exhausted
-        assert outcome.tried == len(scenario.models)
-
-    def test_budget_cut_is_not_exhaustion(self):
-        scenario = self._scenario()
-        band = partition(scenario.runs, BandingPolicy(mode="strict")).top
-        target = scenario.validation.index.ids[0]
-        outcome = flip_search(
-            band,
-            scenario.models,
-            scenario.validation,
-            scenario.fairness,
-            target_id=target,
-            target_class=0,
-            budget=5,
-        )
-        assert outcome.found is None
-        assert not outcome.exhausted
-        assert outcome.tried == 5
-
-    def test_unknown_target(self):
-        scenario = self._scenario()
-        band = partition(scenario.runs, BandingPolicy(mode="strict")).top
-        with pytest.raises(AnalysisError, match="ghost"):
-            flip_search(
-                band, scenario.models, scenario.validation, scenario.fairness, "ghost", 1
-            )
-
-    def test_tampered_predictions_refuse_to_replay(self):
-        scenario = self._scenario()
-        band = partition(scenario.runs, BandingPolicy(mode="strict")).top
-        target = scenario.validation.index.ids[0]
-        # swap one model's classifier for a contradicting one
-        from dataclasses import replace
-
-        victim = scenario.models[0]
-        liar = replace(victim, classifier=AxisAlignedTreeClassifier.stump(0, 99.0, above=1))
-        models = (liar,) + scenario.models[1:]
-        with pytest.raises(InvariantViolation, match="replay"):
-            flip_search(band, models, scenario.validation, scenario.fairness, target, 1)
-
-
 class TestScenarios:
     def test_registry_builds_everything(self):
         for name in SCENARIOS:
             scenario = build_scenario(name, seed=0)
             assert scenario.name == name
-            assert len(scenario.models) >= 2
+            assert len(scenario.runs) >= 2
 
     def test_unknown_scenario(self):
         with pytest.raises(AnalysisError, match="paired-knn"):
