@@ -85,6 +85,8 @@ class BandingPolicy:
         if text.startswith("tol:"):
             raw = text[len("tol:"):]
             try:
+                if not raw.isascii() or "_" in raw:  # Fraction() reads other scripts' digits and "_"
+                    raise ValueError
                 delta = Fraction(raw)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"cannot parse tolerance delta {raw!r}") from None

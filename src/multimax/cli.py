@@ -25,6 +25,7 @@ from .fairness import band_matrix, disputable_instances, ensemble_predictions, f
 from .ingest import (
     AuditManifest,
     ensemble_csv,
+    integer,
     labels_csv,
     load_manifest,
     manifest_text,
@@ -66,7 +67,7 @@ def _env_seed() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise ValidationError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
@@ -251,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zoo = sub.add_parser("zoo", help="generate a synthetic scenario as audit inputs")
     p_zoo.add_argument("--scenario", required=True, choices=ZOO_SCENARIOS)
-    p_zoo.add_argument("--seed", type=int, default=0)
+    p_zoo.add_argument("--seed", type=integer, default=0)
     p_zoo.add_argument("--out", required=True, help="output directory")
     p_zoo.add_argument("--banding", default="strict", help="band policy to write into the manifest")
     p_zoo.add_argument(

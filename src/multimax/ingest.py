@@ -2,12 +2,13 @@
 
 Each CSV file is read once and validated in bulk.  A plain file (see
 _plain_columns: printable ASCII fields without quotes, one line end
-throughout) is parsed with numpy over its bytes; every other file goes
-through the csv module, and both parsers give the same columns.  Only when a
-bulk check fails is the file rescanned row by row by the csv module, to
-reject it with path:line context naming the physical line where the
-offending row starts, so errors do not depend on the parser; an audit either
-ingests a file completely or refuses it, there is no partial acceptance.
+throughout) is parsed with numpy over its bytes; any other file is streamed
+once by the csv module, and an undecodable byte or a csv fault anywhere in
+it is reported before any faulty row.  The bytes read are rescanned row by
+row only to drop rows of blank cells or to reject the file at the physical
+line where its first faulty row starts, so errors do not depend on the
+parser; an audit either ingests a file completely or refuses it, there is
+no partial acceptance.
 Quoted fields are kept verbatim, embedded line breaks included.
 Predictions arrive in long form (run_id, instance_id, prediction) using the
 same value vocabulary as the label file, so the files stay greppable and
@@ -19,9 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import os
+import re
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
-from operator import itemgetter
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -47,7 +48,6 @@ MANIFEST_OPTIONAL = (
     "profile_max_instances",
 )
 PROVENANCE_PREFIX = "provenance."
-_CHUNK_ROWS = 4096
 # The byte-level parse scans _PLAIN_CHUNK bytes, and keys _PLAIN_CHUNK rows,
 # at a time, so its temporaries stay small; _PLAIN_MASKS[k] keeps the low k
 # bytes of a uint64.
@@ -75,9 +75,8 @@ def _csv_reader(data: bytes) -> Iterator[list[str]]:
     return csv.reader(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""))
 
 
-def _not_utf8(path: Path) -> ValidationError:
-    """The error for a file that does not decode as UTF-8, naming the first bad byte's line."""
-    data = path.read_bytes()
+def _not_utf8(path: Path, data: bytes) -> ValidationError:
+    """The error for a file's bytes that do not decode as UTF-8, naming the first bad byte's line."""
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -91,27 +90,8 @@ def _not_utf8(path: Path) -> ValidationError:
     raise InvariantViolation(f"{path}: a UTF-8 decode failed but the file decodes")
 
 
-def _next_rows(path: Path, reader: Iterator[list[str]], count: int) -> list[list[str]]:
-    """Up to `count` more rows; undecodable bytes and csv faults become ValidationError."""
-    try:
-        return list(islice(reader, count))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-    except csv.Error as exc:
-        raise ValidationError(f"cannot parse CSV: {exc}", path=str(path), line=reader.line_num) from None
-
-
-def _stripped_columns(rows: list[list[str]], width: int) -> list[list[str]] | None:
-    """The rows' stripped columns, or None unless every row has `width` non-empty cells."""
-    if not set(map(len, rows)) <= {width}:
-        return None
-    columns = [list(map(str.strip, map(itemgetter(k), rows))) for k in range(width)]
-    return None if any("" in column for column in columns) else columns
-
-
-def _read_columns(path: Path, header: list[str]) -> list[_Column]:
-    """Read a CSV file once and return its data columns, cells stripped, from either parser."""
-    data = _read_bytes(path)
+def _read_columns(path: Path, data: bytes, header: list[str]) -> list[_Column]:
+    """A CSV file's data columns, cells stripped, parsed from its bytes by either parser."""
     columns = _plain_columns(data, header)
     if columns is None:
         columns = [_encode(cells) for cells in _reader_columns(path, data, header)]
@@ -222,49 +202,51 @@ def _plain_column(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: n
 def _reader_columns(path: Path, data: bytes, header: list[str]) -> list[list[str]]:
     """Parse a CSV file's bytes with the csv module and return its data columns, cells stripped.
 
-    Rows stream through in chunks of _CHUNK_ROWS, so only one chunk's row
-    lists are alive at a time; that keeps both the peak memory and the
-    cyclic collector's work small.  Blank rows are skipped.  A row with the
-    wrong field count or an empty field makes the file fail, through
-    _scan_rows, which names the line.
+    One pass keeps the cells of rows with the header's field count and
+    skips empty lines; any other row marks the file, and the pass reads on,
+    so an undecodable byte or a csv fault anywhere is raised first.  Only a
+    marked file, or one with an empty stripped cell, goes to _scan_rows.
     """
-    columns: list[list[str]] = [[] for _ in header]
+    width = len(header)
     reader = _csv_reader(data)
-    first = _next_rows(path, reader, 1)
-    if not first:
-        raise ValidationError("file is empty", path=str(path))
-    got = [cell.strip() for cell in first[0]]
-    if got != header:
-        raise ValidationError(
-            f"expected header {','.join(header)!r}, got {','.join(got)!r}",
-            path=str(path),
-            line=1,
-        )
-    for chunk in iter(lambda: _next_rows(path, reader, _CHUNK_ROWS), []):
-        parts = _stripped_columns(chunk, len(header))
-        if parts is None:  # blank rows, or a faulty row
-            kept = [row for row in chunk if any(map(str.strip, row))]
-            parts = _stripped_columns(kept, len(header))
-        if parts is None:
-            _scan_rows(path, header)
-            raise _no_fault_found(path)
-        for column, part in zip(columns, parts):
-            column.extend(part)
+    flat: list[str] = []
+    marked = False
+    try:
+        first = next(reader, None)
+        if first is None:
+            raise ValidationError("file is empty", path=str(path))
+        got = [cell.strip() for cell in first]
+        if got != header:
+            message = f"expected header {','.join(header)!r}, got {','.join(got)!r}"
+            raise ValidationError(message, path=str(path), line=1)
+        for row in reader:
+            if len(row) == width:
+                flat += row
+            elif row:
+                marked = True
+    except UnicodeDecodeError:
+        raise _not_utf8(path, data) from None
+    except csv.Error as exc:
+        raise ValidationError(f"cannot parse CSV: {exc}", path=str(path), line=reader.line_num) from None
+    columns = [list(map(str.strip, flat[k::width])) for k in range(width)]
+    if marked or any("" in column for column in columns):
+        rows = [cells for _, cells in _scan_rows(path, data, header)]
+        columns = [[cells[k] for cells in rows] for k in range(width)]
     if not columns[0]:
         raise ValidationError("no data rows", path=str(path))
     return columns
 
 
-def _scan_rows(path: Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    """Re-read a file row by row: each data row's start line and stripped cells.
+def _scan_rows(path: Path, data: bytes, header: list[str]) -> list[tuple[int, list[str]]]:
+    """Rescan a file's bytes row by row: each data row's start line and stripped cells.
 
     The only row-wise validator, run after a bulk check failed, to raise the
-    first row with the wrong field count or an empty field.  A row is named
-    by the physical line it starts on, also when quoted line breaks make it
-    span several.  The header was checked by the bulk read.
+    first row with the wrong field count or an empty field; rows of blank
+    cells are dropped.  A row is named by the physical line it starts on,
+    also when quoted line breaks make it span several.
     """
     out = []
-    reader = _csv_reader(_read_bytes(path))
+    reader = _csv_reader(data)
     next(reader)
     start = reader.line_num + 1
     for row in reader:
@@ -286,10 +268,10 @@ def _no_fault_found(path: Path) -> InvariantViolation:
     return InvariantViolation(f"{path}: a bulk ingest check failed but the row scan found no fault")
 
 
-def _raise_first_duplicate(path: Path, header: list[str], message: str) -> NoReturn:
+def _raise_first_duplicate(path: Path, data: bytes, header: list[str], message: str) -> NoReturn:
     """Raise `message` (formatted with the id) at the first repeated id in column one."""
     seen: set[str] = set()
-    for line, cells in _scan_rows(path, header):
+    for line, cells in _scan_rows(path, data, header):
         if cells[0] in seen:
             raise ValidationError(message.format(cells[0]), path=str(path), line=line)
         seen.add(cells[0])
@@ -304,9 +286,10 @@ def read_labels(path: Path, favourable_label: str) -> tuple[LabelVector, dict[st
     index.  The returned mapping sends each raw value to 0 or 1 and is the
     vocabulary prediction files must use.
     """
-    (ids, id_rows), (raw, raw_rows) = _read_columns(path, LABEL_HEADER)
+    data = _read_bytes(path)
+    (ids, id_rows), (raw, raw_rows) = _read_columns(path, data, LABEL_HEADER)
     if len(ids) != len(id_rows):
-        _raise_first_duplicate(path, LABEL_HEADER, "duplicate instance id {!r}")
+        _raise_first_duplicate(path, data, LABEL_HEADER, "duplicate instance id {!r}")
     values = sorted(raw)
     if favourable_label not in values:
         raise ValidationError(
@@ -341,11 +324,12 @@ def _prediction_matrix(
     finds duplicates, missing cells and unknown instances, which all send
     the file to _raise_prediction_fault.
     """
+    data = _read_bytes(path)
     (run_ids, rows), (instance_ids, instance_rows), (values, value_rows) = _read_columns(
-        path, PREDICTION_HEADER
+        path, data, PREDICTION_HEADER
     )
     if not all(value in value_map for value in values):
-        _raise_prediction_fault(path, value_map, index)
+        _raise_prediction_fault(path, data, value_map, index)
     bits = np.array([value_map[value] for value in values], dtype=np.uint8)
     if index is None:
         first_run = dict.fromkeys(instance_rows[rows == 0].tolist())
@@ -358,7 +342,7 @@ def _prediction_matrix(
     counts = np.bincount(rows * width + cols, minlength=len(run_ids) * width)
     counts = counts.reshape(len(run_ids), width)
     if counts[:, -1].any() or (counts[:, :-1] != 1).any():
-        _raise_prediction_fault(path, value_map, index)
+        _raise_prediction_fault(path, data, value_map, index)
     matrix = np.empty((len(run_ids), target.size), dtype=np.uint8)
     matrix[rows, cols] = bits[value_rows]
     matrix.flags.writeable = False
@@ -366,7 +350,7 @@ def _prediction_matrix(
 
 
 def _raise_prediction_fault(
-    path: Path, value_map: Mapping[str, int], index: InstanceIndex | None
+    path: Path, data: bytes, value_map: Mapping[str, int], index: InstanceIndex | None
 ) -> NoReturn:
     """Rescan a prediction file that failed a bulk check and raise its first fault.
 
@@ -377,7 +361,7 @@ def _raise_prediction_fault(
     """
     per_run: dict[str, dict[str, None]] = {}
     first_seen: dict[str, int] = {}
-    for line, (run_id, instance_id, value) in _scan_rows(path, PREDICTION_HEADER):
+    for line, (run_id, instance_id, value) in _scan_rows(path, data, PREDICTION_HEADER):
         if value not in value_map:
             raise ValidationError(
                 f"prediction value {value!r} is not a label value "
@@ -486,9 +470,10 @@ def attach_fairness(
 
 def read_group_map(path: Path) -> dict[str, str]:
     """instance_id -> group name; duplicates rejected."""
-    (ids, id_rows), (groups, group_rows) = _read_columns(path, GROUP_HEADER)
+    data = _read_bytes(path)
+    (ids, id_rows), (groups, group_rows) = _read_columns(path, data, GROUP_HEADER)
     if len(ids) != len(id_rows):
-        _raise_first_duplicate(path, GROUP_HEADER, "duplicate group assignment for {!r}")
+        _raise_first_duplicate(path, data, GROUP_HEADER, "duplicate group assignment for {!r}")
     return dict(zip(ids, map(groups.__getitem__, group_rows.tolist())))
 
 
@@ -520,9 +505,16 @@ class AuditManifest:
             raise ValidationError("profile_max_instances must be at least 1")
 
 
+def integer(raw: str) -> int:
+    """`raw` as an int if it is [+-]?[0-9]+: int() alone also reads other scripts' digits, "_" and padding."""
+    if not re.fullmatch(r"[+-]?[0-9]+", raw):
+        raise ValueError(f"not an integer: {raw!r}")
+    return int(raw)
+
+
 def _parse_int(raw: str, key: str, path: Path, line: int) -> int:
     try:
-        return int(raw)
+        return integer(raw)
     except ValueError:
         raise ValidationError(f"{key} must be an integer, got {raw!r}", path=str(path), line=line) from None
 
@@ -535,13 +527,14 @@ def load_manifest(path: Path) -> AuditManifest:
     """
     path = Path(path)
     try:
-        # read_text turns \r\n and \r into \n; splitlines() would also split
-        # on \u2028, \x0c, \x85 and the like, which a value may hold.
-        lines = path.read_text(encoding="utf-8").split("\n")
+        data = path.read_bytes()
+        # \r\n, \r and \n end a line, as for read_text; splitlines() would also
+        # split on \u2028, \x0c, \x85 and the like, which a value may hold.
+        lines = re.split(r"\r\n?|\n", data.decode("utf-8"))
     except OSError as exc:
         raise ValidationError(f"cannot read manifest: {exc}", path=str(path)) from None
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        raise _not_utf8(path, data) from None
     values: dict[str, str] = {}
     value_lines: dict[str, int] = {}
     for lineno, raw_line in enumerate(lines, start=1):

@@ -38,6 +38,10 @@ class TestPolicy:
         for text in ("round:\u00b3", "round:\u0661"):
             with pytest.raises(ValueError, match="cannot parse rounding digits"):
                 BandingPolicy.parse(text)
+        # Fraction() reads the first as 1/20 and the second as 10/200
+        for text in ("tol:\u0661/\u0662\u0660", "tol:1_0/200"):
+            with pytest.raises(ValueError, match="cannot parse tolerance delta"):
+                BandingPolicy.parse(text)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):

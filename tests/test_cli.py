@@ -143,6 +143,30 @@ class TestAuditCommand:
         assert run_cli("audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")) == 2
         assert "MULTIMAX_SEED" in capsys.readouterr().err
 
+    # int() and Fraction() also read other scripts' digits, "_" and padding
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (("band", "tol:\u0661/\u0662\u0660"), "cannot parse tolerance delta"),
+            (("band", "tol:1_0/200"), "cannot parse tolerance delta"),
+            (("discrepancy_cap", "\u0665"), "discrepancy_cap must be an integer"),
+            (("seed", "1_000"), "seed must be an integer"),
+        ],
+    )
+    def test_manifest_numbers_take_ascii_digits_only(self, tmp_path, capsys, monkeypatch, entry, message):
+        monkeypatch.delenv("MULTIMAX_SEED", raising=False)
+        manifest = write_fixture_inputs(tmp_path, extra_entries=dict([entry]))
+        assert run_cli("audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")) == 2
+        assert f"manifest.txt:{4 if entry[0] == 'band' else 5}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["\u0667", "1_000", " 7", "7 "])
+    def test_seed_env_takes_ascii_digits_only(self, tmp_path, capsys, monkeypatch, value):
+        manifest = write_fixture_inputs(tmp_path)
+        monkeypatch.setenv("MULTIMAX_SEED", value)
+        assert run_cli("audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")) == 2
+        assert f"MULTIMAX_SEED must be an integer, got {value!r}" in capsys.readouterr().err
+
 
 class TestZooCommand:
     def test_writes_audit_inputs(self, tmp_path, capsys):
@@ -198,6 +222,15 @@ class TestZooCommand:
         monkeypatch.setenv("MULTIMAX_SEED", "-5")
         assert run_cli("zoo", "--scenario", "polynomial", "--out", str(tmp_path)) == 2
         assert capsys.readouterr().err == "error: zoo seed must be non-negative, got -5\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value", ["\u0667", "1_000", " 7"])
+    def test_seed_takes_ascii_digits_only(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.delenv("MULTIMAX_SEED", raising=False)
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("zoo", "--scenario", "stump", "--seed", value, "--out", str(tmp_path))
+        assert excinfo.value.code == 2
+        assert f"argument --seed: invalid integer value: {value!r}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("fault", ["rename", "prediction write"])

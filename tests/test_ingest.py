@@ -105,6 +105,8 @@ class TestLabels:
             read_labels(write(tmp_path / "e.csv", ""), "1")
         with pytest.raises(ValidationError, match="no data rows"):
             read_labels(write(tmp_path / "h.csv", "instance_id,label\n"), "1")
+        with pytest.raises(ValidationError, match="no data rows"):
+            read_labels(write(tmp_path / "b.csv", "instance_id,label\n , \n"), "1")
 
     def test_vocabulary_must_be_binary_with_favourable(self, tmp_path):
         three = write(tmp_path / "three.csv", "instance_id,label\na,x\nb,y\nc,z\n")
@@ -121,6 +123,38 @@ class TestLabels:
         path = write(tmp_path / "labels.csv", "instance_id,label\n\na,1\n\nb,0\n")
         labels, _ = read_labels(path, "1")
         assert labels.index.ids == ("a", "b")
+
+
+@pytest.mark.parametrize(
+    "load, read, rewritten, message",
+    [
+        (
+            lambda path: read_labels(path, "1"),
+            "instance_id,label\na,1\na,0\n",
+            "instance_id,label\na,1\nb,0\n",
+            "duplicate instance id 'a'",
+        ),
+        (
+            read_group_map,
+            "instance_id,group\na,1\na,0\n",
+            "instance_id,group\na,1\nb,0\n",
+            "duplicate group assignment for 'a'",
+        ),
+        (
+            lambda path: load_fairness_predictions(path, {"0": 0, "1": 1}),
+            "run_id,instance_id,prediction\nr,a,1\nr,a,0\n",
+            "run_id,instance_id,prediction\nr,a,1\nr,b,0\n",
+            "duplicate prediction for run 'r', instance 'a'",
+        ),
+    ],
+    ids=["labels", "group map", "fairness predictions"],
+)
+def test_a_rescan_reads_the_bytes_already_read(tmp_path, load, read, rewritten, message):
+    """A file rewritten after it was read is reported as it was read."""
+    with mock.patch.object(ingest, "_read_bytes", side_effect=[read.encode(), rewritten.encode()]):
+        with pytest.raises(ValidationError, match=message) as err:
+            load(tmp_path / "file.csv")
+    assert err.value.line == 3
 
 
 class TestPredictions:
@@ -531,6 +565,17 @@ class TestUnreadableFiles:
             read_labels(path, "1")
         assert err.value.line == 5
 
+    @pytest.mark.parametrize("gap", [10, 10_000])
+    def test_a_bad_byte_is_reported_before_a_faulty_row(self, tmp_path, gap):
+        rows = [f"i{k},1" for k in range(gap + 1)]
+        rows[1] += ",extra"  # line 3
+        rows.append("\xff,0")  # line gap + 3
+        path = tmp_path / "labels.csv"
+        path.write_bytes("\n".join(["instance_id,label", *rows, ""]).encode("latin-1"))
+        with pytest.raises(ValidationError, match="not UTF-8 text: byte 0xff") as err:
+            read_labels(path, "1")
+        assert err.value.line == gap + 3
+
     def test_oversized_field_names_the_file_and_line(self, tmp_path, capsys):
         manifest = write_fixture_inputs(tmp_path)
         with open(tmp_path / "labels.csv", "a", encoding="utf-8") as handle:
@@ -644,8 +689,7 @@ def test_bulk_ingest_matches_row_oracle(data):
         rows = [list(row) for row in data.draw(st.permutations(rows))]
     for _ in range(data.draw(st.sampled_from((0, 1, 1, 1, 2, 3)))):
         _inject(data, rows, data.draw(st.sampled_from(FAULTS)), run_ids)
-    chunk_rows = data.draw(st.sampled_from((1, 2, 3, 4096)))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_ROWS", chunk_rows):
+    with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         labels = _write_csv(data, tmp / "labels.csv", LABEL_HEADER, label_rows)
         groups = _write_csv(data, tmp / "groups.csv", GROUP_HEADER, group_rows)
