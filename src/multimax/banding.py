@@ -25,13 +25,11 @@ from .core import (
     ExactRatio,
     LabelVector,
     ModelRun,
-    common_validation_index,
     decimal_display,
     metric,
     round_scaled,
-    runs_by_id,
 )
-from .errors import AnalysisError, InvariantViolation, UndefinedMetricError
+from .errors import AlignmentError, AnalysisError, InvariantViolation, UndefinedMetricError
 
 if TYPE_CHECKING:
     from .fairness import BandMatrix
@@ -115,7 +113,7 @@ class BandingPolicy:
             assert self.digits is not None
             scale = 10**self.digits
             key = round_scaled(utility.num, utility.den, self.digits)
-            return f"{key // scale}.{key % scale:0{self.digits}d}", ExactRatio(key, scale)
+            return decimal_display(key, scale, self.digits), ExactRatio(key, scale)
         value = utility.as_fraction()
         if self.mode == "strict":
             label = f"{value.numerator}/{value.denominator}"
@@ -193,12 +191,18 @@ def partition(runs: Iterable[ModelRun], policy: BandingPolicy) -> Banding:
 
     Each distinct utility, best first, anchors a band unless an earlier band
     already has its label; tolerance bands may overlap.  Bands come back in
-    descending epsilon order.
+    descending epsilon order.  A duplicate run id or a run on another
+    validation index is refused.
     """
-    run_list = sorted(runs_by_id(runs).values(), key=lambda r: r.run_id)
+    run_list = sorted(runs, key=lambda r: r.run_id)
     if not run_list:
         raise AnalysisError("cannot band an empty run collection")
-    common_validation_index(run_list)
+    first = run_list[0]
+    for prev, run in zip(run_list, run_list[1:]):
+        if run.run_id == prev.run_id:
+            raise ValueError(f"duplicate run id {run.run_id!r}")
+        if run.preds_validation.index != first.preds_validation.index:
+            raise AlignmentError(f"run {run.run_id!r} uses a different validation index than run {first.run_id!r}")
     # keyed by (num, den): hashing an ExactRatio builds a Fraction
     groups: dict[tuple[int, int], list[str]] = {}
     for run in run_list:

@@ -136,7 +136,7 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
         out_dir / "fair_model_validation.csv": ensemble_csv(ensemble.preds),
     }
     if manifest.fairness_predictions_path is not None:
-        files[out_dir / "fair_model_fairness.csv"] = ensemble_csv(ensemble_predictions(bm, "fairness"))
+        files[out_dir / "fair_model_fairness.csv"] = ensemble_csv(ensemble_predictions(bm.fairness, bm.fairness_index))
     write_text_atomic(files)
     print(f"band {band.label}: accuracy {ensemble.accuracy}, recall {ensemble.recall}, specificity {ensemble.specificity}")
     print(f"wrote {out_dir / 'fair_model.json'}")
@@ -175,11 +175,11 @@ def _cmd_zoo(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     files = {
         out_dir / "labels.csv": labels_csv(scenario.validation.labels),
-        out_dir / "predictions.csv": predictions_csv(scenario.runs, which="validation"),
+        out_dir / "predictions.csv": predictions_csv((r.run_id, r.preds_validation) for r in scenario.runs),
         out_dir / "manifest.txt": manifest,
     }
     if scenario.fairness is not None:
-        files[out_dir / "fairness_predictions.csv"] = predictions_csv(scenario.runs, which="fairness")
+        files[out_dir / "fairness_predictions.csv"] = predictions_csv((r.run_id, r.preds_fairness) for r in scenario.runs)
     write_text_atomic(files)
     print(f"scenario {scenario.name}: {scenario.notes}")
     print(f"{len(scenario.runs)} runs over {scenario.validation.size} validation instances")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -48,11 +48,11 @@ def round_scaled(num: int, den: int, digits: int) -> int:
     return q
 
 
-def decimal_display(num: int, den: int) -> str:
-    """Exact decimal rendering of num/den with DISPLAY_DIGITS places."""
-    q = round_scaled(num, den, DISPLAY_DIGITS)
-    scale = 10**DISPLAY_DIGITS
-    return f"{q // scale}.{q % scale:0{DISPLAY_DIGITS}d}"
+def decimal_display(num: int, den: int, digits: int = DISPLAY_DIGITS) -> str:
+    """Exact decimal rendering of num/den with `digits` places."""
+    q = round_scaled(num, den, digits)
+    scale = 10**digits
+    return f"{q // scale}.{q % scale:0{digits}d}"
 
 
 @total_ordering
@@ -300,26 +300,3 @@ class ModelRun:
             utility=utility,
         )
 
-
-def common_validation_index(runs: Sequence[ModelRun]) -> InstanceIndex:
-    """The single validation index shared by all runs; error if mixed."""
-    if not runs:
-        raise ValueError("no runs given")
-    index = runs[0].preds_validation.index
-    for run in runs[1:]:
-        if run.preds_validation.index != index:
-            raise AlignmentError(
-                f"run {run.run_id!r} uses a different validation index than "
-                f"run {runs[0].run_id!r}"
-            )
-    return index
-
-
-def runs_by_id(runs: Iterable[ModelRun]) -> dict[str, ModelRun]:
-    """Index runs by id, rejecting duplicates."""
-    out: dict[str, ModelRun] = {}
-    for run in runs:
-        if run.run_id in out:
-            raise ValueError(f"duplicate run id {run.run_id!r}")
-        out[run.run_id] = run
-    return out

@@ -8,10 +8,12 @@ discrepancy), finds the disputable instances, and builds the fair ensemble
 that grants the favourable outcome whenever any band member would.
 
 Every analysis reads a BandMatrix: the band's members stacked as one 0/1
-row each, built once per band by band_matrix.  Ambiguity and the disputed
-instances are column reductions of it; discrepancy and each member's
-validation counts (BandMatrix.member_counts, which the ensemble's deltas and
-the tie-break refinement read) are row reductions.
+row each, built once per band by band_matrix, which gathers the fairness and
+the validation matrix in one pass over the members.  Ambiguity and the
+disputed instances are column reductions of it; discrepancy and each
+member's validation counts (BandMatrix.member_counts, which the ensemble's
+deltas and the tie-break refinement read) are row reductions.  The
+max-ensemble of either matrix is ensemble_predictions(matrix, index).
 
 All rates are exact ratios over the fairness index; nothing is estimated
 except where run pairs are explicitly capped (and then the retained runs are
@@ -37,60 +39,60 @@ from .core import (
     PredictionVector,
     confusion_matrix,
     metric,
-    runs_by_id,
 )
 from .errors import AlignmentError, AnalysisError, InvariantViolation
 
 
 def member_matrix(
-    band: PerformanceBand, runs: Sequence[ModelRun], which: str = "fairness"
-) -> tuple[tuple[str, ...], np.ndarray, InstanceIndex]:
-    """Member ids (sorted), their stacked prediction rows, and the shared index.
+    band: PerformanceBand, runs: Sequence[ModelRun]
+) -> tuple[InstanceIndex, np.ndarray, InstanceIndex, np.ndarray]:
+    """The band's fairness index and matrix, then its validation index and matrix.
 
-    One uint8 row per member, aligned to the shared index; band_matrix calls
-    it once per prediction set.
+    One pass over the members stacks their uint8 rows in band.run_ids order;
+    a duplicate run id, a missing member or a member on another index is refused.
     """
-    _check_prediction_set(which)
-    lookup = runs_by_id(runs)
-    members = []
+    lookup: dict[str, ModelRun] = {}
+    for run in runs:
+        if run.run_id in lookup:
+            raise ValueError(f"duplicate run id {run.run_id!r}")
+        lookup[run.run_id] = run
+    members: list[ModelRun] = []
     for run_id in band.run_ids:
-        if run_id not in lookup:
+        run = lookup.get(run_id)
+        if run is None:
             raise AnalysisError(f"band member {run_id!r} missing from the run collection")
-        members.append(lookup[run_id])
-    vectors = [
-        run.preds_fairness if which == "fairness" else run.preds_validation for run in members
-    ]
-    index = vectors[0].index
-    for run, vec in zip(members, vectors):
-        if vec.index != index:
-            raise AlignmentError(f"run {run.run_id!r} uses a different {which} index")
-    matrix = np.vstack([vec.values for vec in vectors])
-    return tuple(run.run_id for run in members), matrix, index
-
-
-def _check_prediction_set(which: str) -> None:
-    if which not in ("fairness", "validation"):
-        raise ValueError(f"unknown prediction set {which!r}")
+        first = members[0] if members else run
+        if run.preds_fairness.index != first.preds_fairness.index:
+            raise AlignmentError(f"run {run_id!r} uses a different fairness index")
+        if run.preds_validation.index != first.preds_validation.index:
+            raise AlignmentError(f"run {run_id!r} uses a different validation index")
+        members.append(run)
+    fairness = np.vstack([run.preds_fairness.values for run in members])
+    validation = np.vstack([run.preds_validation.values for run in members])
+    return members[0].preds_fairness.index, fairness, members[0].preds_validation.index, validation
 
 
 @dataclass(frozen=True, eq=False)
 class BandMatrix:
     """One band's run x instance 0/1 matrices, on the fairness and validation sets.
 
-    Row r of either matrix holds the predictions of member_ids[r]; member ids
-    are sorted.
+    Row r of either matrix holds the predictions of member_ids[r], the band's
+    sorted run ids.
     """
 
     band: PerformanceBand
-    member_ids: tuple[str, ...]
-    fairness: np.ndarray
     fairness_index: InstanceIndex
-    validation: np.ndarray
+    fairness: np.ndarray
     validation_index: InstanceIndex
+    validation: np.ndarray
 
     @property
     def label(self) -> str:
         return self.band.label
+
+    @property
+    def member_ids(self) -> tuple[str, ...]:
+        return self.band.run_ids
 
     @cached_property
     def disputed(self) -> np.ndarray:
@@ -109,9 +111,7 @@ class BandMatrix:
 
 def band_matrix(band: PerformanceBand, runs: Sequence[ModelRun]) -> BandMatrix:
     """Stack the band's members once for every analysis of the band."""
-    member_ids, fairness, fairness_index = member_matrix(band, runs, "fairness")
-    _, validation, validation_index = member_matrix(band, runs, "validation")
-    return BandMatrix(band, member_ids, fairness, fairness_index, validation, validation_index)
+    return BandMatrix(band, *member_matrix(band, runs))
 
 
 @dataclass(frozen=True)
@@ -224,12 +224,9 @@ def discrepancy(bm: BandMatrix, cap: int = 500, seed: int = 0) -> DiscrepancySta
     )
 
 
-def ensemble_predictions(bm: BandMatrix, which: str = "fairness") -> PredictionVector:
-    """Pointwise maximum of the band: favourable wherever any member says so."""
-    _check_prediction_set(which)
-    return PredictionVector(
-        index=getattr(bm, f"{which}_index"), values=getattr(bm, which).max(axis=0)
-    )
+def ensemble_predictions(matrix: np.ndarray, index: InstanceIndex) -> PredictionVector:
+    """Pointwise maximum of a band's matrix: favourable wherever any member says so."""
+    return PredictionVector(index=index, values=matrix.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
     it, g_tp and g_fp: accuracy (g_tp - g_fp)/n, recall g_tp/P and
     specificity -g_fp/N.
     """
-    preds = ensemble_predictions(bm, "validation")
+    preds = ensemble_predictions(bm.validation, bm.validation_index)
     tp, fp = bm.member_counts(labels)
     star = confusion_matrix(preds, labels)
     star_metrics = {kind: metric(star, kind) for kind in ("accuracy", "recall", "specificity")}

@@ -612,14 +612,9 @@ def labels_csv(labels: LabelVector) -> str:
     return csv_text(LABEL_HEADER, zip(labels.index.ids, labels.values.tolist()))
 
 
-def predictions_csv(runs: Iterable[ModelRun], which: str = "validation") -> str:
-    """Runs in long form, grouped by run in the given order, as CSV text."""
-    if which not in ("validation", "fairness"):
-        raise ValueError(f"unknown prediction set {which!r}")
-    vectors = [
-        (run.run_id, run.preds_validation if which == "validation" else run.preds_fairness)
-        for run in runs
-    ]
+def predictions_csv(pairs: Iterable[tuple[str, PredictionVector]]) -> str:
+    """(run id, predictions) pairs in long form, grouped by run in the given order, as CSV text."""
+    vectors = list(pairs)
     _check_written_ids("run", (run_id for run_id, _ in vectors))
     for index in {vector.index for _, vector in vectors}:
         _check_written_ids("instance", index.ids)

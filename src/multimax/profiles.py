@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import InstanceIndex
 from .errors import AlignmentError, AnalysisError
 from .fairness import BandAnalysis, BandMatrix, _hash_rank, prediction_vector_groups
 
@@ -215,27 +216,20 @@ def stability_profile(matrices: Sequence[BandMatrix]) -> RenderedSvg:
 
 
 def _select_columns(
-    index_ids: tuple[str, ...],
+    index: InstanceIndex,
     disputable_union: list[str],
     max_instances: int,
     seed: int,
 ) -> tuple[list[str], bool]:
-    """Pick which instance columns to draw; True means sampling kicked in."""
-    if len(index_ids) <= max_instances:
-        return list(index_ids), False
+    """Pick which instance columns to draw, in index order; True means sampling kicked in."""
+    if index.size <= max_instances:
+        return list(index.ids), False
     if len(disputable_union) > max_instances:
         chosen = sorted(disputable_union, key=lambda i: _hash_rank(seed, i))[:max_instances]
-        order = {instance_id: pos for pos, instance_id in enumerate(index_ids)}
-        return sorted(chosen, key=order.__getitem__), True
+        return sorted(chosen, key=index.position), True
     disputed = set(disputable_union)
-    columns = list(disputable_union)
-    for instance_id in index_ids:
-        if len(columns) >= max_instances:
-            break
-        if instance_id not in disputed:
-            columns.append(instance_id)
-    order = {instance_id: pos for pos, instance_id in enumerate(index_ids)}
-    return sorted(columns, key=order.__getitem__), False
+    rest = [i for i in index.ids if i not in disputed][: max_instances - len(disputable_union)]
+    return sorted(disputable_union + rest, key=index.position), False
 
 
 def fairness_profile(
@@ -271,7 +265,7 @@ def fairness_profile(
         disputed_any |= bm.disputed
     disputable_union = [index.ids[pos] for pos in np.flatnonzero(disputed_any).tolist()]
 
-    columns, sampled = _select_columns(index.ids, disputable_union, max_instances, seed)
+    columns, sampled = _select_columns(index, disputable_union, max_instances, seed)
     if variant == "summary":
         disputed_set = set(disputable_union)
         columns = [c for c in columns if c in disputed_set] + [

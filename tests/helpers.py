@@ -79,8 +79,9 @@ def write_labels_csv(path, labels: LabelVector) -> None:
     write_text_atomic({path: labels_csv(labels)})
 
 
-def write_predictions_csv(path, runs, which: str = "validation") -> None:
-    write_text_atomic({path: predictions_csv(runs, which)})
+def write_predictions_csv(path, runs, fairness: bool = False) -> None:
+    pairs = [(run.run_id, run.preds_fairness if fairness else run.preds_validation) for run in runs]
+    write_text_atomic({path: predictions_csv(pairs)})
 
 
 def write_manifest(path, entries) -> None:

@@ -91,6 +91,13 @@ class TestStrict:
         with pytest.raises(AnalysisError):
             partition([], BandingPolicy(mode="strict"))
 
+    def test_duplicate_run_ids(self):
+        idx = make_index(2)
+        labels = LabelVector(idx, (1, 0))
+        runs = [run_from_bits("same", labels, (1, 0)), run_from_bits("same", labels, (0, 0))]
+        with pytest.raises(ValueError, match="duplicate run id 'same'"):
+            partition(runs, BandingPolicy(mode="strict"))
+
 
 class TestRounded:
     def test_shared_two_digit_band(self):

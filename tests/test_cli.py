@@ -342,7 +342,7 @@ class TestFairModelCommand:
         ]
         write_labels_csv(tmp_path / "labels.csv", labels)
         write_predictions_csv(tmp_path / "predictions.csv", runs)
-        write_predictions_csv(tmp_path / "fairness.csv", runs, which="fairness")
+        write_predictions_csv(tmp_path / "fairness.csv", runs, fairness=True)
         write_manifest(
             tmp_path / "manifest.txt",
             {

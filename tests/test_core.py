@@ -14,12 +14,10 @@ from multimax.core import (
     InstanceIndex,
     LabelVector,
     PredictionVector,
-    common_validation_index,
     confusion_matrix,
     decimal_display,
     metric,
     round_scaled,
-    runs_by_id,
 )
 from multimax.errors import AlignmentError, UndefinedMetricError
 
@@ -259,19 +257,3 @@ class TestModelRun:
         assert run.utility == ExactRatio(3, 4)
         assert run.utility == metric(confusion_matrix(run.preds_validation, labels), "accuracy")
 
-    def test_common_index(self):
-        idx = make_index(4)
-        labels = LabelVector(idx, (1, 1, 0, 0))
-        runs = [run_from_bits(f"r{k}", labels, (1, 1, 0, 0)) for k in range(3)]
-        assert common_validation_index(runs) is runs[0].preds_validation.index
-        other = LabelVector(make_index(4, prefix="j"), (1, 1, 0, 0))
-        runs.append(run_from_bits("r9", other, (1, 1, 0, 0)))
-        with pytest.raises(AlignmentError):
-            common_validation_index(runs)
-
-    def test_duplicate_run_ids(self):
-        idx = make_index(2)
-        labels = LabelVector(idx, (1, 0))
-        runs = [run_from_bits("same", labels, (1, 0)), run_from_bits("same", labels, (0, 0))]
-        with pytest.raises(ValueError, match="same"):
-            runs_by_id(runs)

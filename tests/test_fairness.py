@@ -159,7 +159,8 @@ class TestOracles:
     @given(band_fixture())
     def test_ensemble_is_pointwise_maximum(self, fixture):
         _, runs, band = fixture
-        ens = ensemble_predictions(band_matrix(band, runs))
+        bm = band_matrix(band, runs)
+        ens = ensemble_predictions(bm.fairness, bm.fairness_index)
         assert tuple(ens.values.tolist()) == oracle_max_ensemble(vectors_of(runs))
         matrix = np.vstack([run.preds_fairness.values for run in runs])
         assert (ens.values >= matrix).all()
@@ -285,12 +286,21 @@ class TestMemberMatrix:
         with pytest.raises(AlignmentError, match="'b'"):
             member_matrix(whole_band([a, b]), [a, b])
 
-    def test_unknown_prediction_set(self):
-        idx = make_index(2)
-        labels = LabelVector(idx, (1, 0))
-        runs = [run_from_bits("a", labels, (1, 0))]
-        with pytest.raises(ValueError):
-            member_matrix(whole_band(runs), runs, which="train")
+    def test_mixed_validation_indices(self):
+        labels = LabelVector(make_index(3), (1, 0, 0))
+        other = LabelVector(make_index(3, prefix="j"), (1, 0, 0))
+        grid = InstanceIndex(("g0", "g1"))
+        a = run_from_bits("a", labels, (1, 0, 0), fairness_bits=(1, 0), fairness_index=grid)
+        b = run_from_bits("b", other, (1, 0, 0), fairness_bits=(0, 1), fairness_index=grid)
+        with pytest.raises(AlignmentError, match="run 'b' uses a different validation index"):
+            band_matrix(whole_band([a, b]), [a, b])
+
+    def test_duplicate_run_ids(self):
+        labels = LabelVector(make_index(2), (1, 0))
+        a = run_from_bits("a", labels, (1, 0))
+        b = run_from_bits("b", labels, (0, 0))
+        with pytest.raises(ValueError, match="duplicate run id 'a'"):
+            band_matrix(whole_band([a, b]), [a, b, a])
 
     def test_separate_fairness_index(self):
         idx = make_index(3)
@@ -299,7 +309,10 @@ class TestMemberMatrix:
         a = run_from_bits("a", labels, (1, 0, 0), fairness_bits=(1, 1, 0, 0), fairness_index=grid)
         b = run_from_bits("b", labels, (1, 0, 0), fairness_bits=(1, 0, 1, 0), fairness_index=grid)
         band = whole_band([a, b])
-        assert member_matrix(band, [a, b])[2] == grid
+        fairness_index, fairness, validation_index, validation = member_matrix(band, [a, b])
+        assert fairness_index == grid and validation_index == idx
+        assert fairness.tolist() == [[1, 1, 0, 0], [1, 0, 1, 0]]
+        assert validation.tolist() == [[1, 0, 0], [1, 0, 0]]
         disputed = disputable_instances(band_matrix(band, [a, b]))
         assert disputed.instance_ids == ("g1", "g2")
         assert ambiguity(band_matrix(band, [a, b])) == ExactRatio(2, 4)

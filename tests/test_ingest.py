@@ -472,11 +472,6 @@ class TestPredictionWriter:
             assert copy.preds_validation.values.tolist() == original.preds_validation.values.tolist()
             assert copy.utility == original.utility
 
-    def test_which_is_validated(self, tmp_path):
-        _, runs = two_band_runs()
-        with pytest.raises(ValueError):
-            write_predictions_csv(tmp_path / "x.csv", runs, which="train")
-
     def test_ids_round_trip_or_are_refused(self, tmp_path):
         # The readers strip every cell, so only an id without surrounding
         # whitespace comes back unchanged; the writers refuse the others.
