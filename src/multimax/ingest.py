@@ -1,15 +1,16 @@
 """File formats: label/prediction CSVs and the flat audit manifest.
 
 Each CSV file is read once and validated in bulk.  A plain file (see
-_plain_columns: printable ASCII fields without quotes, one line end
+plain.fields: printable ASCII fields without quotes, one line end
 throughout) is parsed with numpy over its bytes; any other file is streamed
 once by the csv module, and an undecodable byte or a csv fault anywhere in
-it is reported before any faulty row.  The bytes read are rescanned row by
-row only to drop rows of blank cells or to reject the file at the physical
-line where its first faulty row starts, so errors do not depend on the
-parser; an audit either ingests a file completely or refuses it, there is
-no partial acceptance.
-Quoted fields are kept verbatim, embedded line breaks included.
+it is reported before any faulty row.  A plain prediction file that is
+run-major, each run one block of the same instances, is reshaped into its
+matrix without a sort.  The bytes read are rescanned row by row only to
+drop rows of blank cells or to reject the file at the physical line where
+its first faulty row starts, so errors do not depend on the parser; an
+audit either ingests a file completely or refuses it, there is no partial
+acceptance.  Quoted fields are kept verbatim, embedded line breaks included.
 Predictions arrive in long form (run_id, instance_id, prediction) using the
 same value vocabulary as the label file, so the files stay greppable and
 diffable.
@@ -28,6 +29,7 @@ from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
+from . import plain
 from .banding import BandingPolicy
 from .core import InstanceIndex, LabelVector, ModelRun, PredictionVector
 from .errors import InvariantViolation, ValidationError
@@ -48,12 +50,6 @@ MANIFEST_OPTIONAL = (
     "profile_max_instances",
 )
 PROVENANCE_PREFIX = "provenance."
-# The byte-level parse scans _PLAIN_CHUNK bytes, and keys _PLAIN_CHUNK rows,
-# at a time, so its temporaries stay small; _PLAIN_MASKS[k] keeps the low k
-# bytes of a uint64.
-_PLAIN_CHUNK = 1 << 18
-_PLAIN_FIELD_MAX = 64
-_PLAIN_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
 
 _Column = tuple[list[str], np.ndarray]
 """A data column: its distinct cells in first-appearance order, and each row's position among them."""
@@ -90,12 +86,13 @@ def _not_utf8(path: Path, data: bytes) -> ValidationError:
     raise InvariantViolation(f"{path}: a UTF-8 decode failed but the file decodes")
 
 
-def _read_columns(path: Path, data: bytes, header: list[str]) -> list[_Column]:
-    """A CSV file's data columns, cells stripped, parsed from its bytes by either parser."""
-    columns = _plain_columns(data, header)
-    if columns is None:
-        columns = [_encode(cells) for cells in _reader_columns(path, data, header)]
-    return columns
+def _read_columns(path: Path, data: bytes, header: list[str], run_major: bool = False) -> list[_Column]:
+    """A CSV file's data columns, cells stripped; a run-major plain file in plain.run_blocks' form if run_major."""
+    bounds = plain.fields(data, header)
+    if bounds is None:
+        return [_encode(cells) for cells in _reader_columns(path, data, header)]
+    blocks = plain.run_blocks(data, bounds) if run_major else None
+    return blocks or [plain.column(data, starts, lengths) for starts, lengths in bounds]
 
 
 def _encode(cells: list[str]) -> _Column:
@@ -105,98 +102,6 @@ def _encode(cells: list[str]) -> _Column:
     positions = np.empty(len(cells), dtype=np.intp)
     positions[list(first_rows.values())] = np.arange(len(first_rows))
     return list(first_rows), positions[rows]
-
-
-def _plain_columns(data: bytes, header: list[str]) -> list[_Column] | None:
-    """The columns of a plain file, parsed with numpy over its bytes; None for any other file.
-
-    A file is plain when its first line is exactly the header, every other
-    byte is LF, a comma or printable ASCII other than '"', and either no
-    byte is CR or every line ends in CRLF; the last line ends with its line
-    end, and every data row has len(header) fields of 1 to _PLAIN_FIELD_MAX
-    bytes.  The csv module reads such a file as exactly these rows, and
-    stripping changes no cell, so both parsers give the same columns.  A
-    field is keyed by its bytes as little-endian uint64 words, zero-padded,
-    which is one-to-one because a plain field holds no NUL byte; the length
-    cap bounds the keys' size and keeps every field under the csv module's
-    field limit, whose error only the reader raises.
-    """
-    head = ",".join(header).encode("ascii")
-    eol = next((len(end) for end in (b"\n", b"\r\n") if data.startswith(head + end)), 0)
-    start = len(head) + eol
-    if not eol or len(data) == start:
-        return None
-    offset_type = np.int32 if len(data) < 2**31 else np.int64
-    body = np.frombuffer(data, dtype=np.uint8)
-    pieces, unprintable = [], 0
-    for at in range(start, len(data), _PLAIN_CHUNK):
-        chunk = body[at : at + _PLAIN_CHUNK]
-        if (chunk == ord('"')).any():
-            return None
-        is_lf = chunk == ord("\n")
-        lfs = np.count_nonzero(is_lf)
-        found = np.count_nonzero((chunk - np.uint8(0x21)) > np.uint8(0x7E - 0x21))
-        # besides its LFs, a plain chunk holds no unprintable byte (LF file) or
-        # only CRs: at most one per LF, and one more if it ends in a CR (CRLF file)
-        if found - lfs > (eol - 1) * (lfs + int(chunk[-1] == ord("\r"))):
-            return None
-        unprintable += found
-        pieces.append(np.flatnonzero((chunk == ord(",")) | is_lf).astype(offset_type) + at)
-    ends = np.concatenate(pieces)
-    del pieces  # one copy of the offsets from here on
-    rows = ends.size // len(header)
-    if ends.size % len(header) or unprintable != rows * eol:
-        return None  # a control or non-ASCII byte, a lone CR, or a row with the wrong field count
-    if not rows or ends[-1] != len(data) - 1:
-        return None  # bytes after the last line end, which no delimiter closes
-    ends = ends.reshape(rows, len(header))
-    if not (body[ends[:, -1]] == ord("\n")).all() or not (body[ends[:, :-1]] == ord(",")).all():
-        return None
-    row_starts = np.concatenate(([start], ends[:-1, -1] + 1)).astype(offset_type)
-    if eol == 2:
-        ends[:, -1] -= 1
-        if not (body[ends[:, -1]] == ord("\r")).all():
-            return None
-    # words[i] is the little-endian uint64 that starts at byte i
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))
-    columns = []
-    for k in range(len(header)):
-        starts = row_starts if k == 0 else ends[:, k - 1] + 1
-        lengths = ends[:, k] - starts
-        if lengths.min() < 1 or lengths.max() > _PLAIN_FIELD_MAX:
-            return None
-        columns.append(_plain_column(data, words, starts, lengths))
-    return columns
-
-
-def _plain_column(data: bytes, words: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> _Column:
-    """The column of fields data[start:start + length], in chunks of rows.
-
-    numpy finds each chunk's distinct keys; only those are decoded, and a
-    cell seen for the first time gets the next position.
-    """
-    positions: dict[str, int] = {}
-    codes = np.empty(starts.size, dtype=np.intp)
-    for at in range(0, starts.size, _PLAIN_CHUNK):
-        field_starts, field_lengths = starts[at : at + _PLAIN_CHUNK], lengths[at : at + _PLAIN_CHUNK]
-        width = (int(field_lengths.max()) + 7) // 8
-        keys = np.empty((field_starts.size, width), dtype=np.uint64)
-        for word in range(width):
-            at_word = field_starts + 8 * word
-            base = np.minimum(at_word, len(data) - 8)  # a word read near the end is shifted into place
-            shifted = words[base] >> (8 * (at_word - base)).astype(np.uint64)
-            keys[:, word] = shifted & _PLAIN_MASKS[np.clip(field_lengths - 8 * word, 0, 8)]
-        if width > 1:  # one structured key per field, compared word by word
-            keys = keys.view([(f"w{word}", np.uint64) for word in range(width)])
-        _, first, inverse = np.unique(keys.reshape(-1), return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the chunk's distinct fields in first-appearance order
-        bounds = zip(field_starts[first[order]].tolist(), field_lengths[first[order]].tolist())
-        lookup = np.empty(order.size, dtype=np.intp)
-        lookup[order] = [
-            positions.setdefault(data[a : a + n].decode("ascii"), len(positions)) for a, n in bounds
-        ]
-        codes[at : at + _PLAIN_CHUNK] = lookup[inverse.reshape(-1)]
-    return list(positions), codes
 
 
 def _reader_columns(path: Path, data: bytes, header: list[str]) -> list[list[str]]:
@@ -322,25 +227,25 @@ def _prediction_matrix(
     instances in file order.  Every run must predict every index instance
     exactly once and nothing else: one bincount over the flat cell index
     finds duplicates, missing cells and unknown instances, which all send
-    the file to _raise_prediction_fault.
+    the file to _raise_prediction_fault.  A run-major file (see plain.run_blocks)
+    needs no cell index: its value codes are the matrix, and it counts block 1.
     """
     data = _read_bytes(path)
-    (run_ids, rows), (instance_ids, instance_rows), (values, value_rows) = _read_columns(
-        path, data, PREDICTION_HEADER
-    )
+    columns = _read_columns(path, data, PREDICTION_HEADER, run_major=True)
+    (run_ids, rows), (instance_ids, instance_rows), (values, value_rows) = columns
+    blocks = isinstance(rows, slice)  # plain.run_blocks' form
     if not all(value in value_map for value in values):
         _raise_prediction_fault(path, data, value_map, index)
     bits = np.array([value_map[value] for value in values], dtype=np.uint8)
+    target = index
     if index is None:
-        first_run = dict.fromkeys(instance_rows[rows == 0].tolist())
+        first_run = range(len(instance_ids)) if blocks else dict.fromkeys(instance_rows[rows == 0].tolist())
         target = InstanceIndex(tuple(map(instance_ids.__getitem__, first_run)))
-    else:
-        target = index
     width = target.size + 1  # the last column collects instances outside the index
     positions = {instance_id: pos for pos, instance_id in enumerate(target.ids)}
     cols = np.array([positions.get(i, target.size) for i in instance_ids], dtype=np.intp)[instance_rows]
-    counts = np.bincount(rows * width + cols, minlength=len(run_ids) * width)
-    counts = counts.reshape(len(run_ids), width)
+    cells = cols if blocks else rows * width + cols  # each run of a run-major file repeats block 1
+    counts = np.bincount(cells, minlength=width if blocks else len(run_ids) * width).reshape(-1, width)
     if counts[:, -1].any() or (counts[:, :-1] != 1).any():
         _raise_prediction_fault(path, data, value_map, index)
     matrix = np.empty((len(run_ids), target.size), dtype=np.uint8)

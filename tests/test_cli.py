@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from helpers import write_labels_csv, write_manifest, write_predictions_csv
-from multimax import ingest
+from multimax import ingest, plain
 from multimax.cli import ZOO_SCENARIOS, main
 from multimax.core import InstanceIndex, LabelVector, ModelRun, PredictionVector
 from multimax.errors import ValidationError
@@ -466,3 +466,20 @@ def test_cli_import_loads_neither_the_zoo_nor_the_network_stack():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     unwanted = {"xml.sax", "urllib.request", "http.client", "email", "ssl", "multimax.zoo"}
     assert unwanted.isdisjoint(loaded.stdout.split())
+
+
+def test_audit_of_run_major_files_never_loads_numpy_ma(tmp_path):
+    # np.unique without return_index or return_inverse calls np.ma.is_masked,
+    # which on numpy 2, where numpy.ma loads lazily, imports it; no audit of
+    # plain files needs it
+    manifest = write_fixture_inputs(tmp_path)
+    data = (tmp_path / "predictions.csv").read_bytes()
+    assert plain.run_blocks(data, plain.fields(data, ingest.PREDICTION_HEADER)) is not None
+    code = "import sys, numpy; print('numpy.ma' in sys.modules); from multimax.cli import main; main(sys.argv[1:])"
+    code += "; print(*sys.modules)"
+    command = [sys.executable, "-c", code, "audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    bare, *_, loaded = subprocess.run(command, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
+    if bare == "True":
+        pytest.skip("a bare import numpy loads numpy.ma (numpy 1.x)")
+    assert "numpy" in loaded.split() and "numpy.ma" not in loaded.split()

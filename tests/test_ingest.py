@@ -25,7 +25,7 @@ from helpers import (
     write_manifest,
     write_predictions_csv,
 )
-from multimax import ingest
+from multimax import ingest, plain
 from multimax.banding import BandingPolicy
 from multimax.cli import main
 from multimax.core import ExactRatio, InstanceIndex, LabelVector, ModelRun, PredictionVector
@@ -707,6 +707,50 @@ def test_bulk_ingest_matches_row_oracle(data):
 
 ID_CHARS = string.ascii_letters + string.digits + "_.-"
 NEAR_PLAIN = (" ", '"', "\x1f", "\r", "blank line", "no final line end", "x after the last line end")
+LAYOUT_FAULTS = (
+    "one block reordered",
+    "one run in two blocks",
+    "one run in two whole blocks",
+    "one block a row short",
+    "a row of the last block under another run id",
+    "a third value",
+    "an instance outside the index in every block",
+    "an instance twice in block 1",
+    "an instance twice in every block",
+)
+
+
+def _laid_out(data, layout: str, run_ids: list[str], ids: list[str]) -> list[list[str]]:
+    """Prediction rows of every run for every instance, in the row layout named."""
+    order = data.draw(st.permutations(ids))  # every block's instance order, not the label file's
+    blocks = [[[r, i, data.draw(st.sampled_from(("yes", "no")))] for i in order] for r in run_ids]
+    k = data.draw(st.integers(0, len(blocks) - 1))
+    cut = data.draw(st.integers(1, len(order) - (layout == "one run in two blocks")))  # leaves no block empty
+    if layout == "one block reordered":
+        blocks[k] = [list(row) for row in data.draw(st.permutations(blocks[k]))]
+    elif layout == "one run in two blocks":
+        blocks.append(blocks[k][cut:])
+        blocks[k] = blocks[k][:cut]
+    elif layout == "one run in two whole blocks":
+        blocks.append([[run_ids[k], i, v] for _, i, v in blocks[0]])
+    elif layout == "one block a row short":
+        del blocks[k][cut - 1]
+    elif layout == "a row of the last block under another run id":
+        blocks[-1][cut - 1][0] = "stray+"  # outside ID_CHARS, so no drawn run id
+    elif layout == "a third value":
+        blocks[k][cut - 1][2] = "maybe"
+    elif layout == "an instance outside the index in every block":
+        for block in blocks:
+            block.insert(cut, [block[0][0], "ghost", "yes"])
+    elif layout == "an instance twice in block 1":
+        blocks[0].insert(cut, list(blocks[0][cut - 1]))
+    elif layout == "an instance twice in every block":
+        for block in blocks:
+            block.insert(cut, list(block[cut - 1]))
+    rows = [row for block in blocks for row in block]
+    if layout == "shuffled":
+        rows = [list(row) for row in data.draw(st.permutations(rows))]
+    return rows
 
 
 def _one_byte_off(data, text: str, eol: str) -> str:
@@ -726,20 +770,37 @@ def _one_byte_off(data, text: str, eol: str) -> str:
 @settings(max_examples=150)
 @given(data=st.data())
 def test_plain_ingest_matches_row_oracle(data):
-    """Plain files, faulty ones and ones a byte away from plain: the row oracle's outcome."""
+    """Plain files, run-major or shuffled, faulty ones and ones a byte away from plain: the row oracle's outcome."""
+    _check_plain_ingest(data, data.draw(st.sampled_from(("run-major", "shuffled"))))
+
+
+@pytest.mark.parametrize("layout", LAYOUT_FAULTS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_plain_layout_faults_match_row_oracle(layout, data):
+    """Each layout fault alone, in files of two or more runs and instances: the row oracle's outcome."""
+    _check_plain_ingest(data, layout)
+
+
+def _check_plain_ingest(data, layout: str) -> None:
+    """Load the drawn files in `layout` and compare every outcome with the row oracle's.
+
+    Run-major and shuffled files may also hold injected faults or a byte
+    that makes them not plain; a file with one of LAYOUT_FAULTS holds
+    nothing else, so the fault shows in the layout.
+    """
+    least = 1 if layout in ("run-major", "shuffled") else 2
     ident = st.text(ID_CHARS, min_size=1, max_size=20)
-    ids = data.draw(st.lists(ident, min_size=1, max_size=6, unique=True))
-    run_ids = data.draw(st.lists(ident, min_size=1, max_size=3, unique=True))
+    ids = data.draw(st.lists(ident, min_size=least, max_size=6, unique=True))
+    run_ids = data.draw(st.lists(ident, min_size=least, max_size=3, unique=True))
     label_rows = [[i, data.draw(st.sampled_from(("yes", "no")))] for i in ids]
     label_rows[-1][1] = "no" if label_rows[0][1] == "yes" else "yes"
     group_rows = [[i, data.draw(ident)] for i in ids]
-    faults = data.draw(st.sampled_from((0, 0, 1, 1, 2)))
+    faults = data.draw(st.sampled_from((0, 0, 1, 1, 2))) if layout in ("run-major", "shuffled") else 0
     for rows in (label_rows, group_rows):
         if faults and data.draw(st.booleans()):
             rows.insert(data.draw(st.integers(0, len(rows))), list(data.draw(st.sampled_from(rows))))
-    rows = [list(row) for row in data.draw(st.permutations([[r, i, "yes"] for r in run_ids for i in ids]))]
-    for row in rows:
-        row[2] = data.draw(st.sampled_from(("yes", "no")))
+    rows = _laid_out(data, layout, run_ids, ids)
     for _ in range(faults):
         _inject(data, rows, data.draw(st.sampled_from(FAULTS)), run_ids)
     eol = data.draw(st.sampled_from(("\n", "\r\n")))
@@ -748,31 +809,38 @@ def test_plain_ingest_matches_row_oracle(data):
         "groups.csv": csv_text(GROUP_HEADER, group_rows, eol),
         "preds.csv": csv_text(PREDICTION_HEADER, rows, eol),
     }
-    near = data.draw(st.sampled_from((None,) + tuple(texts)))
+    near = data.draw(st.sampled_from((None,) + tuple(texts))) if layout in ("run-major", "shuffled") else None
     if near is not None:
         texts[near] = _one_byte_off(data, texts[near], eol)
     chunk = data.draw(st.sampled_from((1, 2, 5, 1 << 18)))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_PLAIN_CHUNK", chunk), mock.patch.object(
+    blocks, real_run_blocks = [], plain.run_blocks  # what each run_blocks call returned
+
+    def run_blocks(*args):
+        blocks.append(real_run_blocks(*args))
+        return blocks[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(plain, "CHUNK", chunk), mock.patch.object(
         ingest, "_csv_reader", wraps=ingest._csv_reader
-    ) as reader:
+    ) as reader, mock.patch.object(plain, "run_blocks", run_blocks):
         tmp = Path(tmp)
         for name, text in texts.items():
             (tmp / name).write_bytes(text.encode("ascii"))
         labels, groups, preds = tmp / "labels.csv", tmp / "groups.csv", tmp / "preds.csv"
-        assert _outcome(read_group_map, groups) == _outcome(oracle_read_group_map, groups)
+        outcomes = [_outcome(read_group_map, groups)]
+        assert outcomes[-1] == _outcome(oracle_read_group_map, groups)
         loaded = _outcome(read_labels, labels, "yes")
         assert loaded == _outcome(oracle_read_labels, labels, "yes")
         value_map = {"no": 0, "yes": 1}
-        assert _outcome(load_fairness_predictions, preds, value_map) == _outcome(
-            oracle_load_fairness_predictions, preds, value_map
-        )
+        outcomes += [loaded, _outcome(load_fairness_predictions, preds, value_map)]
+        assert outcomes[-1] == _outcome(oracle_load_fairness_predictions, preds, value_map)
         if loaded[0] == "ok":
             label_vector, value_map = loaded[1]
-            assert _outcome(load_predictions, preds, label_vector, value_map) == _outcome(
-                oracle_load_predictions, preds, label_vector, value_map
-            )
-        if not faults and near is None:
+            outcomes.append(_outcome(load_predictions, preds, label_vector, value_map))
+            assert outcomes[-1] == _outcome(oracle_load_predictions, preds, label_vector, value_map)
+        if near is None and all(outcome[0] == "ok" for outcome in outcomes):
             assert reader.call_count == 0  # every file took the byte-level parse
+        if layout == "run-major" and not faults and near != "preds.csv":
+            assert blocks and None not in blocks  # and the predictions were reshaped
 
 
 class TestPlainDispatch:
@@ -833,9 +901,9 @@ class TestPlainDispatch:
             lines = ["instance_id,group", "a\t,north"] + [f"b{k},south" for k in range(rows)]
             path = tmp_path / f"{name}.csv"
             path.write_bytes((eol.join(lines) + eol).encode("ascii"))
-            with mock.patch.object(ingest, "_PLAIN_CHUNK", 8), mock.patch.object(
+            with mock.patch.object(plain, "CHUNK", 8), mock.patch.object(
                 ingest, "_csv_reader", wraps=ingest._csv_reader
-            ) as reader, mock.patch.object(ingest.np, "count_nonzero", wraps=np.count_nonzero) as counts:
+            ) as reader, mock.patch.object(plain.np, "count_nonzero", wraps=np.count_nonzero) as counts:
                 groups = read_group_map(path)
             assert reader.call_count == 1
             assert groups == oracle_read_group_map(path) and groups["a"] == "north" and len(groups) == rows + 1
@@ -860,6 +928,36 @@ class TestPlainDispatch:
         assert runs == oracle_load_predictions(tmp_path / "preds.csv", labels, value_map)
         assert fairness == oracle_load_fairness_predictions(tmp_path / "preds.csv", value_map)
         assert groups == oracle_read_group_map(tmp_path / "groups.csv")
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_run_major_files_are_reshaped_without_a_column_sort(self, tmp_path, eol):
+        # blocks list b before a, unlike the label file; the shuffled copy is
+        # sorted by instance, then run, so only its columns can number it
+        rows = [["r1", "b", "1"], ["r1", "a", "0"], ["r22", "b", "0"], ["r22", "a", "0"]]
+        rows += [["r3", "b", "1"], ["r3", "a", "1"]]
+        files = {
+            "labels.csv": [["a", "1"], ["b", "0"]],
+            "major.csv": rows,
+            "shuffled.csv": sorted(rows, key=lambda row: (row[1], row[0])),
+        }
+        for name, body in files.items():
+            header = LABEL_HEADER if name == "labels.csv" else PREDICTION_HEADER
+            (tmp_path / name).write_bytes(csv_text(header, body, eol).encode("ascii"))
+        labels, value_map = read_labels(tmp_path / "labels.csv", "1")
+        major, shuffled = tmp_path / "major.csv", tmp_path / "shuffled.csv"
+        with mock.patch.object(plain, "column", side_effect=AssertionError("a column was sorted")):
+            runs = load_predictions(major, labels, value_map)
+            fairness = load_fairness_predictions(major, value_map)
+        with mock.patch.object(plain, "column", wraps=plain.column) as column:
+            assert load_predictions(shuffled, labels, value_map) == runs
+            shuffled_index, shuffled_fairness = load_fairness_predictions(shuffled, value_map)
+        assert column.call_count == 6
+        assert runs == oracle_load_predictions(major, labels, value_map)
+        assert fairness == oracle_load_fairness_predictions(major, value_map)
+        index, vectors = fairness
+        assert index.ids == ("b", "a") and shuffled_index.ids == ("a", "b")
+        for run_id, vector in vectors.items():
+            assert vector.values.tolist()[::-1] == shuffled_fairness[run_id].values.tolist()
 
     @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_zoo_files_are_plain(self, tmp_path, scenario):
