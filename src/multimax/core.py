@@ -148,6 +148,24 @@ class InstanceIndex:
         return len(self.ids)
 
 
+def _read_only_bits(values, index: InstanceIndex, ndim: int) -> np.ndarray:
+    """values as a read-only uint8 array of ndim dimensions, each of its rows one vector's values over index."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biu":
+        raise ValueError(f"binary vector values must be integer or bool, not {values.dtype}")
+    if values.ndim != ndim:
+        raise ValueError(f"binary vector values must be one-dimensional, not {values.ndim + 1 - ndim}-D")
+    if values.shape[-1] != index.size:
+        raise AlignmentError(f"{values.shape[-1]} values for an index of size {index.size}")
+    outside = (values != UNFAVOURABLE) & (values != FAVOURABLE)
+    if outside.any():
+        raise ValueError(f"binary vector values must be 0 or 1, got {values[outside][0]}")
+    if values.dtype != np.uint8 or values.flags.writeable:
+        values = values.astype(np.uint8)
+        values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True, eq=False)
 class _BinaryVector:
     """0/1 values over an index, held as a read-only 1-D uint8 array.
@@ -162,20 +180,16 @@ class _BinaryVector:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        if values.dtype.kind not in "biu":
-            raise ValueError(f"binary vector values must be integer or bool, not {values.dtype}")
-        if values.ndim != 1:
-            raise ValueError(f"binary vector values must be one-dimensional, not {values.ndim}-D")
-        outside = (values != UNFAVOURABLE) & (values != FAVOURABLE)
-        if outside.any():
-            raise ValueError(f"binary vector values must be 0 or 1, got {values[outside][0]}")
-        if len(values) != self.index.size:
-            raise AlignmentError(f"{len(values)} values for an index of size {self.index.size}")
-        if values.dtype != np.uint8 or values.flags.writeable:
-            values = values.astype(np.uint8)
-            values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _read_only_bits(self.values, self.index, 1))
+
+    @classmethod
+    def rows(cls, index: InstanceIndex, matrix) -> list:
+        """One vector per row of a 2-D matrix, checked once as each row would be, sharing one read-only uint8 array."""
+        vectors = []
+        for row in _read_only_bits(matrix, index, 2):
+            vectors.append(object.__new__(cls))
+            vectors[-1].__dict__.update(index=index, values=row)  # a frozen dataclass's fields, set unchecked
+        return vectors
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -272,7 +286,9 @@ class ModelRun:
 
     The utility (validation accuracy) is always derived from the stored
     predictions, never trusted from an external source; use from_predictions
-    to construct runs so the two cannot drift apart.
+    to construct runs so the two cannot drift apart.  ingest.load_predictions
+    builds a file's runs in bulk instead, every utility from one row
+    reduction of the file's matrix against the labels.
     """
 
     run_id: str

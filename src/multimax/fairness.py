@@ -99,6 +99,14 @@ class BandMatrix:
         """Fairness columns on which at least two members disagree."""
         return (self.fairness != self.fairness[0]).any(axis=0)
 
+    @cached_property
+    def vector_groups(self) -> tuple[tuple[str, ...], ...]:
+        """See prediction_vector_groups; members come sorted, so each group does too."""
+        groups: dict[bytes, list[str]] = {}
+        for run_id, row in zip(self.member_ids, self.fairness):
+            groups.setdefault(row.tobytes(), []).append(run_id)
+        return tuple(map(tuple, sorted(groups.values(), key=len, reverse=True)))  # a stable sort
+
     def member_counts(self, labels: LabelVector) -> tuple[np.ndarray, np.ndarray]:
         """Each member's validation true and false positives, as int64 row sums."""
         if labels.index != self.validation_index:
@@ -294,14 +302,10 @@ def prediction_vector_groups(bm: BandMatrix) -> tuple[tuple[str, ...], ...]:
     """Band members grouped by identical fairness prediction vectors.
 
     Groups come back largest first (ties by first appearance among the sorted
-    member ids); each group lists its member run ids sorted.
+    member ids); each group lists its member run ids sorted.  They are found
+    once per band matrix and shared by every caller.
     """
-    member_ids = bm.member_ids
-    groups: dict[bytes, list[str]] = {}
-    for run_id, row in zip(member_ids, bm.fairness):
-        groups.setdefault(row.tobytes(), []).append(run_id)
-    ordered = sorted(groups.values(), key=lambda g: (-len(g), member_ids.index(g[0])))
-    return tuple(tuple(sorted(g)) for g in ordered)
+    return bm.vector_groups
 
 
 def unique_vector_counts(bm: BandMatrix) -> tuple[int, ...]:

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import plain
 from .banding import BandingPolicy
-from .core import InstanceIndex, LabelVector, ModelRun, PredictionVector
+from .core import ExactRatio, InstanceIndex, LabelVector, ModelRun, PredictionVector
 from .errors import InvariantViolation, ValidationError
 
 LABEL_HEADER = ["instance_id", "label"]
@@ -243,7 +243,7 @@ def _prediction_matrix(
         target = InstanceIndex(tuple(map(instance_ids.__getitem__, first_run)))
     width = target.size + 1  # the last column collects instances outside the index
     positions = {instance_id: pos for pos, instance_id in enumerate(target.ids)}
-    cols = np.array([positions.get(i, target.size) for i in instance_ids], dtype=np.intp)[instance_rows]
+    cols = np.array([positions.get(i, width - 1) for i in instance_ids], dtype=np.intp)[instance_rows]
     cells = cols if blocks else rows * width + cols  # each run of a run-major file repeats block 1
     counts = np.bincount(cells, minlength=width if blocks else len(run_ids) * width).reshape(-1, width)
     if counts[:, -1].any() or (counts[:, :-1] != 1).any():
@@ -325,13 +325,10 @@ def load_predictions(
     else.  Runs come back in first-appearance order.
     """
     run_ids, index, matrix = _prediction_matrix(path, value_map, labels.index)
+    correct = (matrix == labels.values).sum(axis=1).tolist()  # each run's tp + tn
     return tuple(
-        ModelRun.from_predictions(
-            run_id=run_id,
-            preds_validation=PredictionVector(index, row),
-            labels=labels,
-        )
-        for run_id, row in zip(run_ids, matrix)
+        ModelRun(run_id, preds, preds, ExactRatio(right, index.size))
+        for run_id, preds, right in zip(run_ids, PredictionVector.rows(index, matrix), correct)
     )
 
 
@@ -344,7 +341,7 @@ def load_fairness_predictions(
     must cover exactly the same instances.
     """
     run_ids, index, matrix = _prediction_matrix(path, value_map, None)
-    return index, {run_id: PredictionVector(index, row) for run_id, row in zip(run_ids, matrix)}
+    return index, dict(zip(run_ids, PredictionVector.rows(index, matrix)))
 
 
 def attach_fairness(

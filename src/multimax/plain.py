@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# fields() scans CHUNK bytes, and _keys() keys CHUNK rows, at a time; _MASKS[k] keeps a uint64's low k bytes
+# fields() scans CHUNK bytes, and _keys() keys CHUNK rows, at a time; _MASKS[w, n] keeps
+# the bytes of an n-byte field that its uint64 word w holds
 CHUNK = 1 << 18
 FIELD_MAX = 64
-_MASKS = np.array([(1 << (8 * k)) - 1 for k in range(9)], dtype=np.uint64)
+_MASKS = np.array(
+    [[(1 << 8 * min(max(n - 8 * w, 0), 8)) - 1 for n in range(FIELD_MAX + 1)] for w in range(FIELD_MAX // 8)], np.uint64
+)
 
 
 def fields(data: bytes, header: list[str]) -> list[tuple[np.ndarray, np.ndarray]] | None:
@@ -51,7 +54,8 @@ def fields(data: bytes, header: list[str]) -> list[tuple[np.ndarray, np.ndarray]
     if not rows or ends[-1] != len(data) - 1:
         return None  # bytes after the last line end, which no delimiter closes
     ends = ends.reshape(rows, len(header))
-    if not (body[ends[:, -1]] == ord("\n")).all() or not (body[ends[:, :-1]] == ord(",")).all():
+    # the unprintable count allows one LF per row: with each row ending in one, every other delimiter is a comma
+    if not (np.take(body, ends[:, -1]) == ord("\n")).all():
         return None
     row_starts = np.concatenate(([start], ends[:-1, -1] + 1)).astype(offset_type)
     if eol == 2:
@@ -64,16 +68,23 @@ def fields(data: bytes, header: list[str]) -> list[tuple[np.ndarray, np.ndarray]
 
 
 def _keys(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Fields data[start:start + length] as rows of zero-padded little-endian uint64 words; no plain field holds NUL."""
-    words = np.ndarray((len(data) - 7,), dtype="<u8", buffer=data, strides=(1,))  # words[i] starts at byte i
+    """Fields data[start:start + length] as rows of zero-padded little-endian uint64 words; no plain field holds NUL.
+
+    Starts ascend, as a column's do, so the few words read past the last whole one come last.
+    """
+    last = len(data) - 8  # the last whole word's start
+    words = np.ndarray((last + 1,), dtype="<u8", buffer=data, strides=(1,))  # words[i] starts at byte i
     keys = np.empty((starts.size, (int(lengths.max()) + 7) // 8), dtype=np.uint64)
     for at in range(0, starts.size, CHUNK):
         field_starts, field_lengths = starts[at : at + CHUNK], lengths[at : at + CHUNK]
         for word in range(keys.shape[1]):
             at_word = field_starts + 8 * word
-            base = np.minimum(at_word, len(data) - 8)  # a word read near the end is shifted into place
-            shifted = words[base] >> (8 * (at_word - base)).astype(np.uint64)
-            keys[at : at + CHUNK, word] = shifted & _MASKS[np.clip(field_lengths - 8 * word, 0, 8)]
+            near = int(np.searchsorted(at_word, last, side="right"))  # starts ascend: the rest start past last
+            masks = np.take(_MASKS[word], field_lengths)
+            # fancy indexing gathers only the words read; np.take would copy the whole unaligned view
+            keys[at : at + near, word] = words[at_word[:near]] & masks[:near]
+            shift = (8 * (at_word[near:] - last)).astype(np.uint64)  # a word read past last is shifted into place
+            keys[at + near : at + field_starts.size, word] = (words[last] >> shift) & masks[near:]
     return keys
 
 

@@ -180,15 +180,16 @@ def stability_profile(matrices: Sequence[BandMatrix]) -> RenderedSvg:
     doc.text(margin_left, 24, "stability profile: identical-prediction groups per band", FONT_PX + 3)
     base_y = margin_top + pyramid_h
     sidecar_bands = []
+    shades = (FAVOURABLE_SHADE, (FAVOURABLE_SHADE + UNFAVOURABLE_SHADE) / 2)  # alternating up each pyramid
     for pos, (band, counts) in enumerate(zip(shown, counts_per_band)):
         cx = margin_left + pos * (col_inner + col_gap) + col_inner / 2
+        fills = [_mix_towards_white(band_colour(pos), shade) for shade in shades]
         for level, count in enumerate(reversed(counts)):
             # widest group sits at the bottom; equal widths stack upwards
             w = count * unit
             x = cx - w / 2
             y = base_y - (level + 1) * seg_h
-            shade = FAVOURABLE_SHADE if level % 2 == 0 else (FAVOURABLE_SHADE + UNFAVOURABLE_SHADE) / 2
-            doc.rect(x, y, w, seg_h - 1, _mix_towards_white(band_colour(pos), shade), stroke=band_colour(pos))
+            doc.rect(x, y, w, seg_h - 1, fills[level % 2], stroke=band_colour(pos))
             doc.text(cx, y + seg_h - 4, str(count), FONT_PX - 1, anchor="middle")
         doc.line(cx - col_inner / 2, base_y, cx + col_inner / 2, base_y, stroke="#888888")
         doc.text(cx, base_y + FONT_PX + 4, band.label, FONT_PX, anchor="middle")

@@ -54,7 +54,7 @@ def ratio_payload(value: ExactRatio) -> dict:
 
 def signed_payload(value: Fraction) -> dict:
     """Like ratio_payload but for signed exact deltas."""
-    sign = "-" if value < 0 else ""
+    sign = "-" if value.numerator < 0 else ""
     return {
         "ratio": f"{value.numerator}/{value.denominator}",
         "decimal": sign + decimal_display(abs(value.numerator), value.denominator),

@@ -327,6 +327,27 @@ def oracle_fairness_cells(matrices, variant: str, columns) -> list[tuple[float, 
     return cells
 
 
+# ------------------------------------------------------ bulk construction oracle
+# One vector per row, built the way a single vector is, and a band's
+# identical-vector groups ordered by a search for each group's first member:
+# the package builds a prediction file's vectors from its matrix in one
+# pass, and the groups with one stable sort.  (oracle_load_predictions
+# below builds each run with ModelRun.from_predictions.)
+
+
+def oracle_vector_rows(index, matrix):
+    return [PredictionVector(index, row) for row in matrix]
+
+
+def oracle_vector_groups(bm):
+    member_ids = bm.member_ids
+    groups: dict[bytes, list[str]] = {}
+    for run_id, row in zip(member_ids, bm.fairness):
+        groups.setdefault(row.tobytes(), []).append(run_id)
+    ordered = sorted(groups.values(), key=lambda g: (-len(g), member_ids.index(g[0])))
+    return tuple(tuple(sorted(g)) for g in ordered)
+
+
 # ------------------------------------------------------------ ingest oracle
 # Row-by-row CSV ingest: every row is validated in file order, one at a
 # time.  The package validates in bulk and must agree with this on every

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_index, oracle_confusion, oracle_round_key, run_from_bits
+from helpers import make_index, oracle_confusion, oracle_round_key, oracle_vector_rows, run_from_bits
 from multimax.core import (
     ConfusionMatrix,
     ExactRatio,
@@ -183,6 +183,63 @@ class TestVectors:
         assert vec != PredictionVector(idx, (1, 1, 1))
         assert vec != PredictionVector(make_index(3, prefix="j"), (1, 0, 1))
         assert vec != LabelVector(idx, (1, 0, 1))
+
+
+@st.composite
+def bit_matrices(draw):
+    """A 0/1 matrix of one or more rows as uint8, bool or int64, read-only or writeable."""
+    rows, width = draw(st.integers(1, 5)), draw(st.integers(1, 8))
+    bits = draw(st.lists(st.lists(st.integers(0, 1), min_size=width, max_size=width), min_size=rows, max_size=rows))
+    matrix = np.array(bits, dtype=draw(st.sampled_from((np.uint8, np.bool_, np.int64))))
+    matrix.flags.writeable = draw(st.booleans())
+    return matrix
+
+
+def _raised(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestVectorRows:
+    """PredictionVector.rows against one PredictionVector per row."""
+
+    @given(bit_matrices())
+    def test_rows_match_one_vector_per_row(self, matrix):
+        index = make_index(matrix.shape[1])
+        got = PredictionVector.rows(index, matrix)
+        assert got == oracle_vector_rows(index, matrix)
+        assert all(type(v) is PredictionVector and v.index is index for v in got)
+        assert all(v.values.dtype == np.uint8 and not v.values.flags.writeable for v in got)
+        assert all(v.values.base is got[0].values.base for v in got)  # rows of one array
+        shared = matrix.dtype == np.uint8 and not matrix.flags.writeable
+        assert np.shares_memory(got[0].values, matrix) == shared
+
+    @settings(max_examples=300)  # a fault in a later row that only the check order reveals
+    @given(bit_matrices(), st.data())
+    def test_faults_raise_as_the_row_oracle(self, matrix, data):
+        """A 2 or a -1, a float matrix, 1-D or 3-D input and a width mismatch, alone or together."""
+        value = data.draw(st.sampled_from((None, 2, -1)))
+        dtype = data.draw(st.sampled_from((None, np.float64)))
+        shape = data.draw(st.sampled_from((None, "1-D", "3-D", "width")))
+        assume(value or dtype or shape)
+        width = matrix.shape[1]
+        if value:
+            matrix = matrix.astype(np.int64)
+            matrix[data.draw(st.integers(0, matrix.shape[0] - 1)), data.draw(st.integers(0, width - 1))] = value
+        if dtype:
+            matrix = matrix.astype(dtype)
+        if shape == "1-D":
+            matrix = matrix[0]
+        elif shape == "3-D":
+            matrix = matrix[:, None, :]
+        elif shape == "width":
+            width += data.draw(st.sampled_from((-1, 1))) if width > 1 else 1
+        index = make_index(width)
+        got = _raised(PredictionVector.rows, index, matrix)
+        assert got[0] in (ValueError, AlignmentError)
+        assert got == _raised(oracle_vector_rows, index, matrix)
 
 
 class TestConfusion:

@@ -16,6 +16,7 @@ from helpers import (
     oracle_individually_fair,
     oracle_max_ensemble,
     oracle_pair_fractions,
+    oracle_vector_groups,
     run_from_bits,
     whole_band,
 )
@@ -183,6 +184,19 @@ class TestOracles:
         groups = prediction_vector_groups(band_matrix(band, runs))
         flat = sorted(rid for g in groups for rid in g)
         assert flat == sorted(r.run_id for r in runs)
+
+    @given(st.data())
+    def test_groups_match_the_quadratic_oracle(self, data):
+        """Members drawn from a few vectors under unsorted ids, so group sizes tie and draw order is not id order."""
+        n = data.draw(st.integers(1, 4))
+        idx = make_index(n)
+        labels = LabelVector(idx, tuple(k % 2 for k in range(n)))
+        pool = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=4))
+        run_ids = data.draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=1, max_size=10, unique=True))
+        runs = [run_from_bits(run_id, labels, data.draw(st.sampled_from(pool))) for run_id in run_ids]
+        bm = band_matrix(whole_band(runs), runs)
+        assert prediction_vector_groups(bm) == oracle_vector_groups(bm)
+        assert prediction_vector_groups(bm) is prediction_vector_groups(bm)  # found once per matrix
 
 
 class TestDiscrepancySampling:

@@ -633,6 +633,11 @@ def _outcome(fn, *args):
         return "error", str(exc), exc.line
 
 
+def _as_written(outcome):
+    """Loaded runs' utilities as (num, den) pairs: ExactRatio compares by value, reports keep num/den."""
+    return [(run.utility.num, run.utility.den) for run in outcome[1]] if outcome[0] == "ok" else outcome
+
+
 @pytest.mark.parametrize(
     "body, line",
     [
@@ -698,9 +703,9 @@ def test_bulk_ingest_matches_row_oracle(data):
         )
         if loaded[0] == "ok":
             label_vector, value_map = loaded[1]
-            assert _outcome(load_predictions, preds, label_vector, value_map) == _outcome(
-                oracle_load_predictions, preds, label_vector, value_map
-            )
+            got = _outcome(load_predictions, preds, label_vector, value_map)
+            expected = _outcome(oracle_load_predictions, preds, label_vector, value_map)
+            assert got == expected and _as_written(got) == _as_written(expected)
 
 
 # ------------------------------------------- plain files: the byte-level parse
@@ -836,11 +841,39 @@ def _check_plain_ingest(data, layout: str) -> None:
         if loaded[0] == "ok":
             label_vector, value_map = loaded[1]
             outcomes.append(_outcome(load_predictions, preds, label_vector, value_map))
-            assert outcomes[-1] == _outcome(oracle_load_predictions, preds, label_vector, value_map)
+            expected = _outcome(oracle_load_predictions, preds, label_vector, value_map)
+            assert outcomes[-1] == expected and _as_written(outcomes[-1]) == _as_written(expected)
         if near is None and all(outcome[0] == "ok" for outcome in outcomes):
             assert reader.call_count == 0  # every file took the byte-level parse
         if layout == "run-major" and not faults and near != "preds.csv":
             assert blocks and None not in blocks  # and the predictions were reshaped
+
+
+def oracle_keys(data: bytes, starts, lengths) -> list[list[int]]:
+    """Each field's bytes, zero-padded to the longest field's whole words, read as little-endian words."""
+    words = (max(lengths) + 7) // 8
+    padded = [data[a : a + n].ljust(8 * words, b"\0") for a, n in zip(starts, lengths)]
+    return [[int.from_bytes(field[8 * w : 8 * w + 8], "little") for w in range(words)] for field in padded]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_keys_match_a_bytes_oracle(data):
+    """Fields of one to three words, the last often ending at the last byte, keyed CHUNK rows at a time."""
+    one_field = st.binary(min_size=1, max_size=24).filter(lambda b: b"\0" not in b)
+    fields = data.draw(st.lists(one_field, min_size=1, max_size=8))
+    gaps = data.draw(st.lists(st.binary(max_size=3), min_size=len(fields), max_size=len(fields)))
+    text, starts = data.draw(st.binary(max_size=10)), []
+    for field, gap in zip(fields, gaps):
+        starts.append(len(text))
+        text += field + gap
+    if data.draw(st.booleans()):
+        text = text[: starts[-1] + len(fields[-1])]  # the last field ends at the last byte
+    pad = max(0, 8 - len(text))  # at least one whole word
+    text, starts, lengths = b"\0" * pad + text, [a + pad for a in starts], [len(f) for f in fields]
+    with mock.patch.object(plain, "CHUNK", data.draw(st.sampled_from((1, 2, 3, 1 << 18)))):
+        keys = plain._keys(text, np.array(starts, dtype=np.int32), np.array(lengths, dtype=np.int32))
+    assert keys.tolist() == oracle_keys(text, starts, lengths)
 
 
 class TestPlainDispatch:
@@ -874,6 +907,12 @@ class TestPlainDispatch:
         # as many CRs as line ends, but one line ends in LF alone
         lines = self.GROUPS
         self._read_by_the_reader(tmp_path, "\r\n".join(lines[:2]) + "\r\r\n" + "\n".join(lines[2:]) + "\r\n")
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_a_line_end_in_place_of_a_comma_goes_to_the_reader(self, tmp_path, eol):
+        # every row's last delimiter is a line end, and the row count is whole
+        got = self._read_by_the_reader(tmp_path, eol.join(["instance_id,group", "a", "north", "b,south", ""]))
+        assert got == ("error", f"{tmp_path / 'groups.csv'}:2: expected 2 fields, got 1", 2)
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_header_and_an_unended_line_go_to_the_reader(self, tmp_path, eol):

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import os
 import stat
+from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from multimax import ingest
 from multimax.banding import BandingPolicy
 from multimax.core import decimal_display
 from multimax.errors import InvariantViolation
+from multimax.fairness import BandMatrix
 from multimax.ingest import AuditManifest
 from multimax.report import (
     audit,
@@ -149,6 +152,25 @@ class TestRunAudit:
         manifest = fixture_manifest(tmp_path, provenance={"family": "linear", "z": "last"})
         payload = run_audit(manifest).payload
         assert payload["provenance"] == {"family": "linear", "z": "last"}
+
+
+def test_audit_finds_each_band_groups_once(tmp_path, monkeypatch):
+    """unique_vector_counts and stability_profile share each band matrix's groups."""
+    found = Counter()
+    compute = BandMatrix.vector_groups.func
+
+    def counted(bm):
+        found[id(bm)] += 1
+        return compute(bm)
+
+    groups = cached_property(counted)
+    groups.__set_name__(BandMatrix, "vector_groups")
+    monkeypatch.setattr(BandMatrix, "vector_groups", groups)
+    outcome = run_audit(fixture_manifest(tmp_path))
+    matrices = [analysis.matrix for analysis in outcome.analyses]
+    assert found == Counter(id(bm) for bm in matrices)
+    segments = [band["segments"] for band in outcome.renders["stability_profile"].sidecar["bands"]]
+    assert segments == [list(map(len, bm.vector_groups)) for bm in matrices]
 
 
 class TestComparison:
