@@ -124,6 +124,9 @@ class InstanceIndex:
             dup = next(i for i in self.ids if i in seen or seen.add(i))
             raise ValueError(f"duplicate instance id {dup!r} in index")
 
+    def __eq__(self, other: object) -> bool:  # one file's vectors share one index: identity settles most compares
+        return self is other or (other.__class__ is self.__class__ and self.ids == other.ids)
+
     @property
     def size(self) -> int:
         return len(self.ids)

@@ -67,8 +67,8 @@ def member_matrix(
         if run.preds_validation.index != first.preds_validation.index:
             raise AlignmentError(f"run {run_id!r} uses a different validation index")
         members.append(run)
-    fairness = np.vstack([run.preds_fairness.values for run in members])
-    validation = np.vstack([run.preds_validation.values for run in members])
+    fairness = np.concatenate([run.preds_fairness.values for run in members]).reshape(len(members), -1)
+    validation = np.concatenate([run.preds_validation.values for run in members]).reshape(len(members), -1)
     return members[0].preds_fairness.index, fairness, members[0].preds_validation.index, validation
 
 

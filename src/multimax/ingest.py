@@ -1,19 +1,16 @@
 """File formats: label/prediction CSVs and the flat audit manifest.
 
-Each CSV file is read once and validated in bulk.  A plain file (see
-plain.fields: printable ASCII fields without quotes, one line end
-throughout) is parsed with numpy over its bytes; any other file is streamed
-once by the csv module, and an undecodable byte or a csv fault anywhere in
-it is reported before any faulty row.  A plain prediction file that is
-run-major, each run one block of the same instances, is reshaped into its
-matrix without a sort.  The bytes read are rescanned row by row only to
-drop rows of blank cells or to reject the file at the physical line where
-its first faulty row starts, so errors do not depend on the parser; an
-audit either ingests a file completely or refuses it, there is no partial
-acceptance.  Quoted fields are kept verbatim, embedded line breaks included.
-Predictions arrive in long form (run_id, instance_id, prediction) using the
-same value vocabulary as the label file, so the files stay greppable and
-diffable.
+Each CSV file is read once and validated in bulk.  A plain file (see plain: printable ASCII fields
+without quotes, one line end throughout) is parsed with numpy one row-aligned chunk at a time, so its
+working memory is bounded by one chunk; any other file is streamed once by the csv module, and an
+undecodable byte or a csv fault anywhere in it is reported before any faulty row.  A plain prediction
+file that is run-major, each run one block of the same instances, is reshaped into its matrix without a
+sort; any other leaves the reshape at its first row out of that layout.  The bytes read are rescanned
+row by row only to drop rows of blank cells or to reject the file at the physical line where its first
+faulty row starts, so errors do not depend on the parser; an audit either ingests a file completely or
+refuses it, with no partial acceptance.  Quoted fields are kept verbatim, embedded line breaks included.
+Predictions arrive in long form (run_id, instance_id, prediction) using the same value vocabulary as the
+label file, so the files stay greppable and diffable.
 """
 
 from __future__ import annotations
@@ -87,21 +84,14 @@ def _not_utf8(path: Path, data: bytes) -> ValidationError:
 
 
 def _read_columns(path: Path, data: bytes, header: list[str], run_major: bool = False) -> list[_Column]:
-    """A CSV file's data columns, cells stripped; a run-major plain file in plain.run_blocks' form if run_major."""
-    bounds = plain.fields(data, header)
-    if bounds is None:
-        return [_encode(cells) for cells in _reader_columns(path, data, header)]
-    blocks = plain.run_blocks(data, bounds) if run_major else None
-    return blocks or [plain.column(data, starts, lengths) for starts, lengths in bounds]
+    """A CSV file's data columns, cells stripped; a run-major plain file in plain._blocks' form if run_major."""
+    return plain.columns(data, header, run_major) or [_encode(cells) for cells in _reader_columns(path, data, header)]
 
 
 def _encode(cells: list[str]) -> _Column:
     """A column of cells as its distinct cells and each row's position among them."""
-    first_rows: dict[str, int] = {}  # each distinct cell's first row, in first-appearance order
-    rows = np.fromiter(map(first_rows.setdefault, cells, count()), dtype=np.intp, count=len(cells))
-    positions = np.empty(len(cells), dtype=np.intp)
-    positions[list(first_rows.values())] = np.arange(len(first_rows))
-    return list(first_rows), positions[rows]
+    positions = dict(zip(dict.fromkeys(cells), count()))  # in first-appearance order
+    return list(positions), np.fromiter(map(positions.__getitem__, cells), dtype=np.intp, count=len(cells))
 
 
 def _reader_columns(path: Path, data: bytes, header: list[str]) -> list[list[str]]:
@@ -227,13 +217,13 @@ def _prediction_matrix(
     instances in file order.  Every run must predict every index instance
     exactly once and nothing else: one bincount over the flat cell index
     finds duplicates, missing cells and unknown instances, which all send
-    the file to _raise_prediction_fault.  A run-major file (see plain.run_blocks)
+    the file to _raise_prediction_fault.  A run-major file (see plain._blocks)
     needs no cell index: its value codes are the matrix, and it counts block 1.
     """
     data = _read_bytes(path)
     columns = _read_columns(path, data, PREDICTION_HEADER, run_major=True)
     (run_ids, rows), (instance_ids, instance_rows), (values, value_rows) = columns
-    blocks = isinstance(rows, slice)  # plain.run_blocks' form
+    blocks = isinstance(rows, slice)  # plain._blocks' form
     if not all(value in value_map for value in values):
         _raise_prediction_fault(path, data, value_map, index)
     bits = np.array([value_map[value] for value in values], dtype=np.uint8)

@@ -1,11 +1,21 @@
-"""Plain CSV files (see fields), parsed with numpy over their bytes."""
+"""Plain CSV files, parsed with numpy in one pass over row-aligned byte chunks.
+
+A file is plain when its first line is exactly the header, every other byte is LF, a comma or printable
+ASCII other than '"', and either no byte is CR or every line ends in CRLF; the last line ends with its
+line end, and every data row has len(header) fields of 1 to FIELD_MAX bytes.  The csv module reads such a
+file as exactly these rows, and stripping changes no cell, so both parsers give the same columns.  The
+length cap bounds the keys' size and keeps every field under the csv module's field limit, whose error
+only the reader raises.  Each chunk is checked, split and keyed before the next is read, so working memory
+is bounded by one chunk; a file that is not run-major leaves the run-major pass at its first row out of layout.
+"""
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-# fields() scans CHUNK bytes, and _keys() keys CHUNK rows, at a time; _MASKS[w, n] keeps
-# the bytes of an n-byte field that its uint64 word w holds
+# a chunk holds at most CHUNK bytes unless its one row is longer; _MASKS[w, n] keeps an n-byte field's bytes in word w
 CHUNK = 1 << 18
 FIELD_MAX = 64
 _MASKS = np.array(
@@ -13,129 +23,129 @@ _MASKS = np.array(
 )
 
 
-def fields(data: bytes, header: list[str]) -> list[tuple[np.ndarray, np.ndarray]] | None:
-    """A plain file's fields, as each column's (starts, lengths) in bytes; None for any other file.
+class _NotPlain(Exception):
+    """Raised at the first chunk that shows a file is not plain."""
 
-    A file is plain when its first line is exactly the header, every other
-    byte is LF, a comma or printable ASCII other than '"', and either no
-    byte is CR or every line ends in CRLF; the last line ends with its line
-    end, and every data row has len(header) fields of 1 to FIELD_MAX
-    bytes.  The csv module reads such a file as exactly these rows, and
-    stripping changes no cell, so both parsers give the same columns.  The
-    length cap bounds the keys' size (see _keys) and keeps every field
-    under the csv module's field limit, whose error only the reader raises.
-    """
+
+def columns(data: bytes, header: list[str], run_major: bool = False) -> list | None:
+    """A plain file's columns, each its distinct cells, first seen first, and each row's position in them; None
+    for any other file.  With run_major, a run-major prediction file comes in _blocks' form."""
+    try:
+        return _blocks(data, header) if run_major else _coded(data, header)
+    except _NotPlain:
+        return None
+
+
+def _chunks(data: bytes, header: list[str]) -> Iterator[list[np.ndarray]]:
+    """Each chunk's column keys (see _keys); a chunk ends at the last LF within CHUNK bytes, or the first past them."""
     head = ",".join(header).encode("ascii")
     eol = next((len(end) for end in (b"\n", b"\r\n") if data.startswith(head + end)), 0)
-    start = len(head) + eol
-    if not eol or len(data) == start:
-        return None
-    offset_type = np.int32 if len(data) < 2**31 else np.int64
-    body = np.frombuffer(data, dtype=np.uint8)
-    pieces, unprintable = [], 0
-    for at in range(start, len(data), CHUNK):
-        chunk = body[at : at + CHUNK]
-        if (chunk == ord('"')).any():
-            return None
-        is_lf = chunk == ord("\n")
-        lfs = np.count_nonzero(is_lf)
-        found = np.count_nonzero((chunk - np.uint8(0x21)) > np.uint8(0x7E - 0x21))
-        # besides its LFs, a plain chunk holds no unprintable byte (LF file) or
-        # only CRs: at most one per LF, and one more if it ends in a CR (CRLF file)
-        if found - lfs > (eol - 1) * (lfs + int(chunk[-1] == ord("\r"))):
-            return None
-        unprintable += found
-        pieces.append(np.flatnonzero((chunk == ord(",")) | is_lf).astype(offset_type) + at)
-    ends = np.concatenate(pieces)
-    del pieces  # one copy of the offsets from here on
-    rows = ends.size // len(header)
-    if ends.size % len(header) or unprintable != rows * eol:
-        return None  # a control or non-ASCII byte, a lone CR, or a row with the wrong field count
-    if not rows or ends[-1] != len(data) - 1:
-        return None  # bytes after the last line end, which no delimiter closes
-    ends = ends.reshape(rows, len(header))
-    # the unprintable count allows one LF per row: with each row ending in one, every other delimiter is a comma
-    if not (np.take(body, ends[:, -1]) == ord("\n")).all():
-        return None
-    row_starts = np.concatenate(([start], ends[:-1, -1] + 1)).astype(offset_type)
-    if eol == 2:
-        ends[:, -1] -= 1
-        if not (body[ends[:, -1]] == ord("\r")).all():
-            return None
-    starts = [row_starts] + [ends[:, k] + 1 for k in range(len(header) - 1)]
-    bounds = [(column_starts, ends[:, k] - column_starts) for k, column_starts in enumerate(starts)]
-    return None if any(lengths.min() < 1 or lengths.max() > FIELD_MAX for _, lengths in bounds) else bounds
+    at = len(head) + eol
+    if not eol or at == len(data):
+        raise _NotPlain
+    while at < len(data):
+        end = data.rfind(b"\n", at, at + CHUNK) + 1 or data.find(b"\n", at + CHUNK) + 1
+        if not end:
+            raise _NotPlain  # bytes after the last line end
+        yield _keys(np.frombuffer(data, dtype=np.uint8, count=end - at, offset=at), len(header), eol)
+        at = end
 
 
-def _keys(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Fields data[start:start + length] as rows of zero-padded little-endian uint64 words; no plain field holds NUL.
-
-    Starts ascend, as a column's do, so the few words read past the last whole one come last.
-    """
-    last = len(data) - 8  # the last whole word's start
-    words = np.ndarray((last + 1,), dtype="<u8", buffer=data, strides=(1,))  # words[i] starts at byte i
-    keys = np.empty((starts.size, (int(lengths.max()) + 7) // 8), dtype=np.uint64)
-    for at in range(0, starts.size, CHUNK):
-        field_starts, field_lengths = starts[at : at + CHUNK], lengths[at : at + CHUNK]
-        for word in range(keys.shape[1]):
-            at_word = field_starts + 8 * word
-            near = int(np.searchsorted(at_word, last, side="right"))  # starts ascend: the rest start past last
-            masks = np.take(_MASKS[word], field_lengths)
-            # fancy indexing gathers only the words read; np.take would copy the whole unaligned view
-            keys[at : at + near, word] = words[at_word[:near]] & masks[:near]
-            shift = (8 * (at_word[near:] - last)).astype(np.uint64)  # a word read past last is shifted into place
-            keys[at + near : at + field_starts.size, word] = (words[last] >> shift) & masks[near:]
-    return keys
-
-
-def _decode(data: bytes, starts: np.ndarray, lengths: np.ndarray, rows) -> list[str]:
-    return [data[a : a + n].decode("ascii") for a, n in zip(starts[rows].tolist(), lengths[rows].tolist())]
-
-
-def column(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Fields data[start:start + length] as their distinct cells, first seen first, and each row's position in them.
-
-    numpy finds each CHUNK rows' distinct keys; only those are decoded, and
-    a cell seen for the first time gets the next position.
-    """
-    positions: dict[str, int] = {}
-    codes = np.empty(starts.size, dtype=np.intp)
-    keys = _keys(data, starts, lengths)
-    if keys.shape[1] > 1:  # one structured key per field, compared word by word
-        keys = keys.view([(f"w{word}", np.uint64) for word in range(keys.shape[1])])
-    for at in range(0, starts.size, CHUNK):
-        _, first, inverse = np.unique(keys[at : at + CHUNK].reshape(-1), return_index=True, return_inverse=True)
-        order = np.argsort(first)  # the chunk's distinct fields in first-appearance order
-        cells = _decode(data, starts, lengths, first[order] + at)
-        lookup = np.empty(order.size, dtype=np.intp)
-        lookup[order] = [positions.setdefault(cell, len(positions)) for cell in cells]
-        codes[at : at + CHUNK] = lookup[inverse.reshape(-1)]
-    return list(positions), codes
+def _keys(chunk: np.ndarray, width: int, eol: int) -> list[np.ndarray]:
+    """Each column's fields as rows of zero-padded little-endian uint64 words, read from a copy of the chunk with
+    FIELD_MAX zero bytes after it; _NotPlain unless each line is a plain row, whose fields hold no NUL."""
+    is_lf = chunk == ord("\n")
+    lfs = np.count_nonzero(is_lf)
+    # besides its LFs, a plain chunk holds no '"' and no byte outside 0x21-0x7E but one CR per LF in a CRLF file
+    unprintable = np.count_nonzero((chunk - np.uint8(0x21)) > np.uint8(0x7E - 0x21))
+    if unprintable + np.count_nonzero(chunk == ord('"')) != eol * lfs:
+        raise _NotPlain
+    ends = np.flatnonzero((chunk == ord(",")) | is_lf)
+    if ends.size != lfs * width or not is_lf[ends[width - 1 :: width]].all():
+        raise _NotPlain  # a row with another field count; with each row ending in an LF, the rest are commas
+    starts = np.concatenate(([-1], ends[:-1])) + 1
+    ends[width - 1 :: width] -= eol - 1
+    if eol == 2 and not (chunk[ends[width - 1 :: width]] == ord("\r")).all():
+        raise _NotPlain  # an LF without its CR, so a CR elsewhere
+    ends -= starts  # the fields' lengths
+    if ends.min() < 1 or ends.max() > FIELD_MAX:
+        raise _NotPlain
+    lengths = ends.astype(np.uint8)
+    del is_lf, ends
+    padded = np.concatenate((chunk, np.zeros(FIELD_MAX, dtype=np.uint8)))
+    words = np.ndarray((padded.size - 7,), dtype="<u8", buffer=padded, strides=(1,))  # words[i] starts at byte i
+    # per column, its fields' starts `at` and lengths `n`; fancy indexing gathers only the words read, where
+    # np.take would copy the whole unaligned view
+    return [
+        np.stack([words[at + 8 * word] & np.take(_MASKS[word], n) for word in range((int(n.max()) + 7) // 8)], 1)
+        for at, n in zip(starts.reshape(-1, width).T, lengths.reshape(-1, width).T)
+    ]
 
 
-def run_blocks(data: bytes, bounds: list) -> list | None:
-    """A run-major prediction file's columns, as column() gives them; None for any other file.
+def _cells(keys: np.ndarray) -> list[str]:
+    """The fields that keys (rows x words) key: a key's bytes are its field's, then NULs, which bytes strings drop."""
+    return keys.astype("<u8", copy=False).view(f"S{8 * keys.shape[1]}").reshape(-1).astype(str).tolist()
 
-    Run-major: one block of rows per run, each listing the same distinct
-    instances in the same order, and at most two values; key compares check
-    this, with no sort.  The value positions form a runs x instances array,
-    so the run and instance positions are slice(None), the whole axis.
-    """
-    keys = _keys(data, *bounds[0])
-    n = int((keys != keys[0]).any(axis=1).argmax()) or len(keys)  # the rows before the run key first changes
-    runs = len(keys) // n
-    if len(keys) % n or (keys.reshape(runs, n, -1) != keys[::n, None]).any():
-        return None  # ragged blocks, or a run key that changes inside a block
-    keys = _keys(data, *bounds[1]).reshape(runs, n, -1)
-    if (keys != keys[0]).any():
-        return None
-    keys = _keys(data, *bounds[2])
-    codes = (keys != keys[0]).any(axis=1)
-    second = int(codes.argmax())  # 0 when every value is the first
-    if (codes & (keys != keys[second]).any(axis=1)).any():
-        return None  # a third value
-    picked = (slice(None, None, n), slice(n), [0, second] if second else [0])  # block starts, block 1, values
-    run_ids, instance_ids, values = (_decode(data, *pair, rows) for pair, rows in zip(bounds, picked))
-    if len(set(run_ids)) < runs or len(set(instance_ids)) < n:
-        return None  # a run in two blocks, or an instance twice in a block
-    return [(run_ids, slice(None)), (instance_ids, slice(None)), (values, codes.reshape(runs, n).view(np.uint8))]
+
+def _differ(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Whether keys a and b, broadcast over all but their words, key different fields; either may have more words."""
+    words = min(a.shape[-1], b.shape[-1])
+    differ = (a[..., :words] != b[..., :words]).any(-1)
+    return differ if a.shape[-1] == b.shape[-1] else differ | a[..., words:].any(-1) | b[..., words:].any(-1)
+
+
+def _coded(data: bytes, header: list[str]) -> list[tuple[list[str], np.ndarray]]:
+    """A plain file's columns, as columns() gives them: numpy finds each chunk's distinct keys, only those are
+    decoded, unless the last chunk had the same, and a cell seen for the first time gets the next position."""
+    positions, codes, last = [{} for _ in header], [[] for _ in header], [(None, None)] * len(header)  # per column
+    for keys in _chunks(data, header):
+        for column, (found, parts, column_keys) in enumerate(zip(positions, codes, keys)):
+            fields = column_keys
+            if fields.shape[1] > 1:  # one structured key per field, compared word by word
+                fields = fields.view([(f"w{word}", np.uint64) for word in range(fields.shape[1])])
+            distinct, first, inverse = np.unique(fields.reshape(-1), return_index=True, return_inverse=True)
+            if (fields.dtype, distinct.tobytes()) != last[column][0]:  # not the last chunk's distinct keys
+                order = np.argsort(first)  # the chunk's distinct fields in first-appearance order
+                found_at = [found.setdefault(cell, len(found)) for cell in _cells(column_keys[first[order]])]
+                last[column] = (fields.dtype, distinct.tobytes()), np.array(found_at, dtype=np.intp)[np.argsort(order)]
+            parts.append(last[column][1][inverse.reshape(-1)])
+    return [(list(found), np.concatenate(parts)) for found, parts in zip(positions, codes)]
+
+
+def _blocks(data: bytes, header: list[str]) -> list:
+    """A run-major prediction file's columns: run and instance positions slice(None), the whole axis, and value
+    positions the runs x instances matrix; _coded's from the first row out of the layout.  Run-major: a block of n
+    rows per run, each listing block 1's distinct instances in its order, and at most two values, checked on each
+    chunk's keys with no sort: a run key changes only where a block starts, an instance key is the one n rows up."""
+    n = rows = 0  # block 1's length, once the run key first changes, and the rows read
+    run_ids, instance_ids, block, codes = [], [], [], []  # block: block 1's instance keys, by chunk
+    for run_keys, instance_keys, value_keys in _chunks(data, header):
+        if not rows:
+            run, value = run_keys[0], value_keys[:1].copy()
+            run_ids, values, second = _cells(run_keys[:1]), _cells(value), value
+        changed = np.concatenate((_differ(run_keys[:1], run), _differ(run_keys[1:], run_keys[:-1])))
+        n = n or (rows + int(changed.argmax()) if changed.any() else 0)  # where the run key first changes
+        if not n or n >= rows:  # block 1 goes on in this chunk, or has just ended
+            block.append(instance_keys[: n - rows if n else None])
+            instance_ids += _cells(block[-1])
+            if n:  # block 1 twice over, in one array, its parts widened to one word count
+                words = max(keys.shape[1] for keys in block)
+                block = [np.concatenate((k, np.zeros((len(k), words - k.shape[1]), np.uint64)), 1) for k in block]
+                block = np.concatenate(block * 2)
+        code = _differ(value_keys, value)
+        if len(values) == 1 and code.any():
+            second = value_keys[[code.argmax()]]
+            values += _cells(second)
+        if n:
+            changed[-rows % n :: n] = False  # where blocks start
+            changed[:n] |= _differ(instance_keys[:n], block[rows % n :][: min(len(changed), n)])
+            changed[n:] |= _differ(instance_keys[n:], instance_keys[:-n])
+            run_ids += _cells(run_keys[-rows % n if rows else n :: n])
+        if (changed | code & _differ(value_keys, second)).any():
+            return _coded(data, header)  # a row out of the layout, or a third value
+        codes.append(code.view(np.uint8))
+        run, rows = run_keys[-1].copy(), rows + len(changed)
+    n = n or rows
+    if rows % n or len(set(run_ids)) < len(run_ids) or len(set(instance_ids)) < n:
+        return _coded(data, header)  # a short last block, a run in two blocks, or an instance twice in a block
+    return [(run_ids, slice(None)), (instance_ids, slice(None)), (values, np.concatenate(codes).reshape(-1, n))]

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -474,7 +475,8 @@ def test_audit_of_run_major_files_never_loads_numpy_ma(tmp_path):
     # plain files needs it
     manifest = write_fixture_inputs(tmp_path)
     data = (tmp_path / "predictions.csv").read_bytes()
-    assert plain.run_blocks(data, plain.fields(data, ingest.PREDICTION_HEADER)) is not None
+    with mock.patch.object(plain, "_coded", side_effect=AssertionError("not run-major")):
+        assert plain.columns(data, ingest.PREDICTION_HEADER, run_major=True) is not None
     code = "import sys, numpy; print('numpy.ma' in sys.modules); from multimax.cli import main; main(sys.argv[1:])"
     code += "; print(*sys.modules)"
     command = [sys.executable, "-c", code, "audit", "--manifest", str(manifest), "--out", str(tmp_path / "out")]

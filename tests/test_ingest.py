@@ -4,6 +4,7 @@ import csv
 import json
 import string
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -711,6 +712,7 @@ def test_bulk_ingest_matches_row_oracle(data):
 # ------------------------------------------- plain files: the byte-level parse
 
 ID_CHARS = string.ascii_letters + string.digits + "_.-"
+PLAIN_CHARS = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in ',"')
 NEAR_PLAIN = (" ", '"', "\x1f", "\r", "blank line", "no final line end", "x after the last line end")
 LAYOUT_FAULTS = (
     "one block reordered",
@@ -817,16 +819,20 @@ def _check_plain_ingest(data, layout: str) -> None:
     near = data.draw(st.sampled_from((None,) + tuple(texts))) if layout in ("run-major", "shuffled") else None
     if near is not None:
         texts[near] = _one_byte_off(data, texts[near], eol)
-    chunk = data.draw(st.sampled_from((1, 2, 5, 1 << 18)))
-    blocks, real_run_blocks = [], plain.run_blocks  # what each run_blocks call returned
+    # 1, 2 and 5 bytes cut after every row; 16, 40 and 64 put 2-4 rows in most
+    # chunks, so cuts fall inside blocks, at block ends and at the last row
+    chunk = data.draw(st.sampled_from((1, 2, 5, 16, 40, 64, 1 << 18)))
+    blocks, real_columns = [], plain.columns  # whether each run-major call reshaped its file
 
-    def run_blocks(*args):
-        blocks.append(real_run_blocks(*args))
-        return blocks[-1]
+    def columns(data, header, run_major=False):
+        got = real_columns(data, header, run_major)
+        if run_major:
+            blocks.append(got is not None and isinstance(got[0][1], slice))
+        return got
 
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(plain, "CHUNK", chunk), mock.patch.object(
         ingest, "_csv_reader", wraps=ingest._csv_reader
-    ) as reader, mock.patch.object(plain, "run_blocks", run_blocks):
+    ) as reader, mock.patch.object(plain, "columns", columns):
         tmp = Path(tmp)
         for name, text in texts.items():
             (tmp / name).write_bytes(text.encode("ascii"))
@@ -846,7 +852,7 @@ def _check_plain_ingest(data, layout: str) -> None:
         if near is None and all(outcome[0] == "ok" for outcome in outcomes):
             assert reader.call_count == 0  # every file took the byte-level parse
         if layout == "run-major" and not faults and near != "preds.csv":
-            assert blocks and None not in blocks  # and the predictions were reshaped
+            assert blocks and all(blocks)  # and the predictions were reshaped
 
 
 def oracle_keys(data: bytes, starts, lengths) -> list[list[int]]:
@@ -859,21 +865,44 @@ def oracle_keys(data: bytes, starts, lengths) -> list[list[int]]:
 @settings(max_examples=150)
 @given(data=st.data())
 def test_keys_match_a_bytes_oracle(data):
-    """Fields of one to three words, the last often ending at the last byte, keyed CHUNK rows at a time."""
-    one_field = st.binary(min_size=1, max_size=24).filter(lambda b: b"\0" not in b)
-    fields = data.draw(st.lists(one_field, min_size=1, max_size=8))
-    gaps = data.draw(st.lists(st.binary(max_size=3), min_size=len(fields), max_size=len(fields)))
-    text, starts = data.draw(st.binary(max_size=10)), []
-    for field, gap in zip(fields, gaps):
-        starts.append(len(text))
-        text += field + gap
-    if data.draw(st.booleans()):
-        text = text[: starts[-1] + len(fields[-1])]  # the last field ends at the last byte
-    pad = max(0, 8 - len(text))  # at least one whole word
-    text, starts, lengths = b"\0" * pad + text, [a + pad for a in starts], [len(f) for f in fields]
-    with mock.patch.object(plain, "CHUNK", data.draw(st.sampled_from((1, 2, 3, 1 << 18)))):
-        keys = plain._keys(text, np.array(starts, dtype=np.int32), np.array(lengths, dtype=np.int32))
-    assert keys.tolist() == oracle_keys(text, starts, lengths)
+    """Fields of one to three words in rows of one to three columns, the last just before the chunk's line end."""
+    width = data.draw(st.integers(1, 3))
+    field = st.text(PLAIN_CHARS, min_size=1, max_size=24)
+    rows = data.draw(st.lists(st.lists(field, min_size=width, max_size=width), min_size=1, max_size=6))
+    eol = data.draw(st.sampled_from(("\n", "\r\n")))
+    text = "".join(",".join(row) + eol for row in rows).encode("ascii")
+    starts, at = [], 0
+    for row in rows:
+        for cell in row:
+            starts.append(at)
+            at += len(cell) + 1
+        at += len(eol) - 1
+    keys = plain._keys(np.frombuffer(text, dtype=np.uint8), width, len(eol))
+    lengths = [len(cell) for row in rows for cell in row]
+    assert [k.tolist() for k in keys] == [oracle_keys(text, starts[c::width], lengths[c::width]) for c in range(width)]
+
+
+def test_run_major_ingest_holds_less_than_the_file_besides_its_bytes(tmp_path):
+    # about 3.5 MB over more than a dozen chunks: each chunk's temporaries are
+    # freed before the next is read, and only block 1's keys and the matrix
+    # stay, so the traced peak beyond the bytes read stays below the file's size
+    ids = [f"i{k:05d}" for k in range(2000)]
+    bits = np.random.default_rng(7).integers(0, 2, (126, len(ids))).tolist()
+    write(tmp_path / "labels.csv", "instance_id,label\n" + "".join(f"{i},{b}\n" for i, b in zip(ids, bits[0])))
+    body = "".join(f"r{r:03d},{i},{b}\n" for r, row in enumerate(bits[1:]) for i, b in zip(ids, row))
+    path = write(tmp_path / "preds.csv", "run_id,instance_id,prediction\n" + body)
+    labels, value_map = read_labels(tmp_path / "labels.csv", "1")
+    size = path.stat().st_size
+    assert size > 12 * plain.CHUNK
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        runs = load_predictions(path, labels, value_map)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 125 and peak - size < size
 
 
 class TestPlainDispatch:
@@ -950,6 +979,31 @@ class TestPlainDispatch:
         assert counted["long"] == counted["short"]
 
     @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_an_instance_sorted_file_leaves_the_run_major_pass_in_its_first_chunk(self, tmp_path, eol):
+        # sorted by instance, then run, the file breaks the layout at its
+        # fourth row, in the first of its many chunks: the run-major pass reads
+        # no other, and the column pass reads them all, as the run-major copy's
+        # one pass does
+        rows = [[f"r{r}", f"i{k:03d}", str((r + k) % 2)] for r in range(3) for k in range(200)]
+        (tmp_path / "labels.csv").write_bytes(csv_text(LABEL_HEADER, [row[1:] for row in rows[:200]], eol).encode())
+        labels, value_map = read_labels(tmp_path / "labels.csv", "1")
+        passes, real_chunks = {}, plain._chunks  # each pass's chunk count, per file
+
+        def chunks(data, header):
+            passes[name].append(0)
+            for keys in real_chunks(data, header):
+                passes[name][-1] += 1
+                yield keys
+
+        for name, body in (("major", rows), ("sorted", sorted(rows, key=lambda row: (row[1], row[0])))):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(csv_text(PREDICTION_HEADER, body, eol).encode())
+            passes[name] = []
+            with mock.patch.object(plain, "CHUNK", 64), mock.patch.object(plain, "_chunks", chunks):
+                assert load_predictions(path, labels, value_map) == oracle_load_predictions(path, labels, value_map)
+        assert passes["major"][0] > 1 and passes["sorted"] == [1] + passes["major"]
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
     def test_plain_files_never_reach_the_reader(self, tmp_path, eol):
         files = {
             "labels.csv": csv_text(LABEL_HEADER, [["a", "1"], ["b", "0"]], eol),
@@ -984,13 +1038,13 @@ class TestPlainDispatch:
             (tmp_path / name).write_bytes(csv_text(header, body, eol).encode("ascii"))
         labels, value_map = read_labels(tmp_path / "labels.csv", "1")
         major, shuffled = tmp_path / "major.csv", tmp_path / "shuffled.csv"
-        with mock.patch.object(plain, "column", side_effect=AssertionError("a column was sorted")):
+        with mock.patch.object(plain, "_coded", side_effect=AssertionError("a column was sorted")):
             runs = load_predictions(major, labels, value_map)
             fairness = load_fairness_predictions(major, value_map)
-        with mock.patch.object(plain, "column", wraps=plain.column) as column:
+        with mock.patch.object(plain, "_coded", wraps=plain._coded) as coded:
             assert load_predictions(shuffled, labels, value_map) == runs
             shuffled_index, shuffled_fairness = load_fairness_predictions(shuffled, value_map)
-        assert column.call_count == 6
+        assert coded.call_count == 2
         assert runs == oracle_load_predictions(major, labels, value_map)
         assert fairness == oracle_load_fairness_predictions(major, value_map)
         index, vectors = fairness
