@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .banding import BandingPolicy, partition
 from .errors import MultimaxError, ValidationError
-from .fairness import band_matrix, disputable_instances, ensemble_predictions, fair_ensemble
+from .fairness import band_matrix, ensemble_predictions, fair_ensemble
 from .ingest import (
     AuditManifest,
     ensemble_csv,
@@ -128,7 +128,7 @@ def _cmd_fair_model(args: argparse.Namespace) -> int:
         "accuracy": ratio_payload(ensemble.accuracy),
         "recall": ratio_payload(ensemble.recall),
         "specificity": ratio_payload(ensemble.specificity),
-        "resolved_disputes": disputable_instances(bm).size,
+        "resolved_disputes": int(bm.disputed.sum()),
     }
     out_dir = Path(args.out)
     files = {

@@ -12,8 +12,9 @@ row each, built once per band by band_matrix, which gathers the fairness and
 the validation matrix in one pass over the members.  Ambiguity and the
 disputed instances are column reductions of it; discrepancy and each
 member's validation counts (BandMatrix.member_counts, which the ensemble's
-deltas and the tie-break refinement read) are row reductions.  The
-max-ensemble of either matrix is ensemble_predictions(matrix, index).
+gains and the tie-break refinement read) are row reductions, kept as
+integer columns: a member's exact metric deltas are derived only when read.
+The max-ensemble of either matrix is ensemble_predictions(matrix, index).
 
 All rates are exact ratios over the fairness index; nothing is estimated
 except where run pairs are explicitly capped (and then the retained runs are
@@ -124,29 +125,28 @@ def band_matrix(band: PerformanceBand, runs: Sequence[ModelRun]) -> BandMatrix:
 
 @dataclass(frozen=True)
 class DisputableSet:
-    """Instances on which the band's members disagree, with the vote split."""
+    """Instances on which the band's members disagree, in index order."""
 
     instance_ids: tuple[str, ...]
-    per_instance_vote: dict[str, tuple[int, int]]  # id -> (favourable, unfavourable)
 
     @property
     def size(self) -> int:
         return len(self.instance_ids)
 
     def __contains__(self, instance_id: object) -> bool:
-        return instance_id in self.per_instance_vote
+        return instance_id in self.instance_ids
 
 
 def disputable_instances(bm: BandMatrix) -> DisputableSet:
     """Fairness instances where at least two band members disagree, in index order."""
-    ones = bm.fairness.sum(axis=0, dtype=np.int64)
-    ids = []
-    votes: dict[str, tuple[int, int]] = {}
-    for pos in np.flatnonzero(bm.disputed).tolist():
-        instance_id = bm.fairness_index.ids[pos]
-        ids.append(instance_id)
-        votes[instance_id] = (int(ones[pos]), len(bm.member_ids) - int(ones[pos]))
-    return DisputableSet(instance_ids=tuple(ids), per_instance_vote=votes)
+    ids = bm.fairness_index.ids
+    return DisputableSet(tuple(ids[pos] for pos in np.flatnonzero(bm.disputed).tolist()))
+
+
+def vote_pairs(favourable: Sequence[int], members: int) -> list[list[int]]:
+    """[f, members - f] for each favourable count f; equal counts share one list."""
+    pairs = {f: [f, members - f] for f in set(favourable)}
+    return [pairs[f] for f in favourable]
 
 
 def ambiguity(bm: BandMatrix) -> ExactRatio:
@@ -246,15 +246,35 @@ class MetricDeltas:
     specificity: Fraction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FairEnsembleReport:
-    """The band's max-ensemble on the validation set, with member-wise deltas."""
+    """The band's max-ensemble on the validation set, with its gains over each member.
+
+    g_tp[r] and g_fp[r] (int64) are the true and false positives it gains over
+    member_ids[r]; the metrics keep their unreduced denominators n, P and N.
+    """
 
     preds: PredictionVector
     accuracy: ExactRatio
     recall: ExactRatio
     specificity: ExactRatio
-    member_deltas: dict[str, MetricDeltas]
+    member_ids: tuple[str, ...]
+    g_tp: np.ndarray
+    g_fp: np.ndarray
+
+    def deltas(self, gain_tp: int, gain_fp: int) -> MetricDeltas:
+        """The deltas of a member the ensemble gains gain_tp and gain_fp over."""
+        return MetricDeltas(
+            accuracy=Fraction(gain_tp - gain_fp, self.accuracy.den),
+            recall=Fraction(gain_tp, self.recall.den),
+            specificity=Fraction(-gain_fp, self.specificity.den),
+        )
+
+    @cached_property
+    def member_deltas(self) -> dict[str, MetricDeltas]:
+        """Each member's deltas, in member order; derived from the gains on first read."""
+        gains = zip(self.member_ids, self.g_tp.tolist(), self.g_fp.tolist())
+        return {run_id: self.deltas(gain_tp, gain_fp) for run_id, gain_tp, gain_fp in gains}
 
 
 def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
@@ -271,7 +291,7 @@ def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
     preds = ensemble_predictions(bm.validation, bm.validation_index)
     tp, fp = bm.member_counts(labels)
     star = confusion_matrix(preds, labels)
-    star_metrics = {kind: metric(star, kind) for kind in ("accuracy", "recall", "specificity")}
+    metrics = [metric(star, kind) for kind in ("accuracy", "recall", "specificity")]
     g_tp = star.tp - tp
     g_fp = star.fp - fp
     losing = (g_tp < 0) | (g_fp < 0)
@@ -280,22 +300,7 @@ def fair_ensemble(bm: BandMatrix, labels: LabelVector) -> FairEnsembleReport:
             "ensemble must not lose recall or gain specificity against member "
             f"{bm.member_ids[int(np.argmax(losing))]!r}"
         )
-    n, positives, negatives = labels.index.size, labels.positives, labels.negatives
-    deltas = {
-        run_id: MetricDeltas(
-            accuracy=Fraction(gain_tp - gain_fp, n),
-            recall=Fraction(gain_tp, positives),
-            specificity=Fraction(-gain_fp, negatives),
-        )
-        for run_id, gain_tp, gain_fp in zip(bm.member_ids, g_tp.tolist(), g_fp.tolist())
-    }
-    return FairEnsembleReport(
-        preds=preds,
-        accuracy=star_metrics["accuracy"],
-        recall=star_metrics["recall"],
-        specificity=star_metrics["specificity"],
-        member_deltas=deltas,
-    )
+    return FairEnsembleReport(preds, *metrics, bm.member_ids, g_tp, g_fp)
 
 
 def prediction_vector_groups(bm: BandMatrix) -> tuple[tuple[str, ...], ...]:

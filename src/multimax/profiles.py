@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import InstanceIndex
 from .errors import AlignmentError, AnalysisError
-from .fairness import BandAnalysis, BandMatrix, _hash_rank, prediction_vector_groups
+from .fairness import BandAnalysis, BandMatrix, _hash_rank, prediction_vector_groups, vote_pairs
 
 # colour-blind-friendly cycle, repeated past its 12 colours
 BAND_PALETTE = (
@@ -311,12 +311,14 @@ def fairness_profile(
             fill=band_colour(pos),
         )
         favourable = block.sum(axis=0, dtype=np.int64).tolist()
+        # summary rows, and columns with equal counts, share one object each
+        rows = [{"run_id": r} for r in bm.member_ids] if variant == "faithful" else [{"run_id": None}] * n_rows
         sidecar_bands.append(
             {
                 "label": bm.label,
                 "members": list(bm.member_ids),
-                "rows": [{"run_id": r if variant == "faithful" else None} for r in bm.member_ids],
-                "column_counts": {col: [f, n_rows - f] for col, f in zip(columns, favourable)},
+                "rows": rows,
+                "column_counts": dict(zip(columns, vote_pairs(favourable, n_rows))),
             }
         )
         y += n_rows * cell + band_gap

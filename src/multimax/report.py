@@ -6,7 +6,11 @@ compare_policies re-bands under other policies, and the renderers draw from
 the analyses.  run_audit composes all of them into one JSON-ready payload
 in which every number appears both as an exact ratio string and as a rounded
 decimal; the other CLI subcommands run only the stages they print.
-Emission is canonical (sorted keys, fixed indentation, trailing newline), so
+The payload is built from the integer columns the analyses hold: members
+with equal ensemble gains share one deltas dict, and instances with equal
+votes one vote pair.  The audited policy's comparison row comes from the
+audit's own banding.  Emission is canonical (sorted keys, fixed
+indentation, trailing newline) and formats each shared sub-object once, so
 the same audit produces byte-identical reports and artefacts.
 """
 
@@ -28,6 +32,7 @@ from .fairness import (
     ambiguity,
     analyse_band,
     band_matrix,
+    vote_pairs,
 )
 from .ingest import (
     AuditManifest,
@@ -123,6 +128,17 @@ def top_band_profile(kind: str, manifest: AuditManifest, top: Sequence[BandMatri
     )
 
 
+def comparison_row(banding: Banding, top_ambiguity: ExactRatio) -> PolicyComparison:
+    """The comparison row of one banding, given its top band's ambiguity."""
+    return PolicyComparison(
+        policy=banding.policy.describe(),
+        band_count=len(banding.bands),
+        top_band_label=banding.top.label,
+        top_band_run_count=banding.top.run_count,
+        top_band_ambiguity=top_ambiguity,
+    )
+
+
 def compare_policies(
     runs: Sequence[ModelRun], policies: Sequence[BandingPolicy]
 ) -> tuple[PolicyComparison, ...]:
@@ -130,16 +146,7 @@ def compare_policies(
     rows = []
     for policy in policies:
         banding = partition(runs, policy)
-        top = banding.top
-        rows.append(
-            PolicyComparison(
-                policy=policy.describe(),
-                band_count=len(banding.bands),
-                top_band_label=top.label,
-                top_band_run_count=top.run_count,
-                top_band_ambiguity=ambiguity(band_matrix(top, runs)),
-            )
-        )
+        rows.append(comparison_row(banding, ambiguity(band_matrix(banding.top, runs))))
     return tuple(rows)
 
 
@@ -193,8 +200,14 @@ def _discrepancy_payload(stats: DiscrepancyStats) -> dict:
 
 
 def _band_payload(analysis: BandAnalysis) -> dict:
-    band = analysis.band
-    ensemble = analysis.ensemble
+    band, bm, ensemble = analysis.band, analysis.matrix, analysis.ensemble
+    # members with equal gains share one deltas dict, and votes equal pairs
+    gains = list(zip(ensemble.g_tp.tolist(), ensemble.g_fp.tolist()))
+    shared = {
+        pair: {kind: signed_payload(delta) for kind, delta in vars(ensemble.deltas(*pair)).items()}
+        for pair in set(gains)
+    }
+    votes = vote_pairs(bm.fairness.sum(axis=0)[bm.disputed].tolist(), len(bm.member_ids))
     return {
         "label": band.label,
         "mode": band.policy.mode,
@@ -206,24 +219,14 @@ def _band_payload(analysis: BandAnalysis) -> dict:
         "disputable": {
             "count": analysis.disputable.size,
             "instance_ids": list(analysis.disputable.instance_ids),
-            "votes": {
-                instance_id: list(vote)
-                for instance_id, vote in analysis.disputable.per_instance_vote.items()
-            },
+            "votes": dict(zip(analysis.disputable.instance_ids, votes)),
         },
         "discrepancy": _discrepancy_payload(analysis.discrepancy),
         "fair_ensemble": {
             "accuracy": ratio_payload(ensemble.accuracy),
             "recall": ratio_payload(ensemble.recall),
             "specificity": ratio_payload(ensemble.specificity),
-            "member_deltas": {
-                run_id: {
-                    "accuracy": signed_payload(delta.accuracy),
-                    "recall": signed_payload(delta.recall),
-                    "specificity": signed_payload(delta.specificity),
-                }
-                for run_id, delta in ensemble.member_deltas.items()
-            },
+            "member_deltas": {run_id: shared[pair] for run_id, pair in zip(ensemble.member_ids, gains)},
         },
         "group_ambiguity": {
             group: ratio_payload(value) for group, value in analysis.group_ambiguity.items()
@@ -270,7 +273,7 @@ def emit_json(payload: dict) -> str:
     nest.  Anything else, a non-str key or a subclass of a leaf type
     included, raises TypeError.
     """
-    return _json_value(payload, "\n") + "\n"
+    return _json_value(payload, "\n", {}) + "\n"
 
 
 def _json_float(value: float) -> str:
@@ -293,29 +296,35 @@ _JSON_LEAVES = {
 }
 
 
-def _json_value(value, newline: str) -> str:
+def _json_value(value, newline: str, memo: dict) -> str:
     """value as indented JSON; newline is a line break and the current indent.
 
-    Plain loops: on Python 3.11 they beat a comprehension or map here.
+    memo maps (id, indent) of each container emitted to its text, so a shared
+    sub-object is formatted once per indent; the payload keeps every id in use
+    for the one emit_json call the memo lives for.  Plain loops: on Python
+    3.11 they beat a comprehension or map here.
     """
+    key = (id(value), len(newline))
+    if key in memo:
+        return memo[key]
     inner = newline + "  "
     parts = []
     if isinstance(value, dict):
         if not value:
             return "{}"
-        for key in sorted(value):
-            item = value[key]
+        for name in sorted(value):
+            item = value[name]
             leaf = _JSON_LEAVES.get(type(item))
             # encode_basestring raises TypeError for a key that is not a str
-            parts.append(encode_basestring(key) + ": " + (leaf(item) if leaf else _json_value(item, inner)))
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+            parts.append(encode_basestring(name) + ": " + (leaf(item) if leaf else _json_value(item, inner, memo)))
+        return memo.setdefault(key, "{" + inner + ("," + inner).join(parts) + newline + "}")
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         for item in value:
             leaf = _JSON_LEAVES.get(type(item))
-            parts.append(leaf(item) if leaf else _json_value(item, inner))
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+            parts.append(leaf(item) if leaf else _json_value(item, inner, memo))
+        return memo.setdefault(key, "[" + inner + ("," + inner).join(parts) + newline + "]")
     leaf = _JSON_LEAVES.get(type(value))
     if leaf is None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -334,7 +343,10 @@ def run_audit(manifest: AuditManifest, seed_override: int | None = None) -> Audi
     labels, runs, grouping = load_inputs(manifest)
     banding = partition(runs, manifest.policy)
     analyses = analyse_bands(manifest, banding, labels, runs, grouping)
-    comparison = compare_policies(runs, default_comparison_policies(manifest.policy))
+    # the audited policy leads the ladder, and its row is already known
+    comparison = (comparison_row(banding, analyses[0].ambiguity),) + compare_policies(
+        runs, default_comparison_policies(manifest.policy)[1:]
+    )
     top = [a.matrix for a in analyses[: manifest.profile_top_n]]
     renders = {
         kind: top_band_profile(kind, manifest, top)

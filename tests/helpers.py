@@ -36,6 +36,7 @@ from multimax.ingest import (
     write_text_atomic,
 )
 from multimax.profiles import CELL_PX, prediction_fill
+from multimax.report import _discrepancy_payload, ratio_payload, signed_payload
 
 
 def make_index(n: int, prefix: str = "i") -> InstanceIndex:
@@ -246,6 +247,60 @@ def oracle_fair_ensemble(band, runs, labels):
             *(star_metrics[kind].as_fraction() - metric(cm, kind).as_fraction() for kind in kinds)
         )
     return tuple(star_metrics[kind] for kind in kinds), deltas
+
+
+def oracle_band_payload(analysis):
+    """A band's report entry built member by member and instance by instance.
+
+    Every member gets its own three Fractions (from member_deltas) and its
+    own signed_payload dicts, and every disputed instance its own vote list,
+    counted cell by cell.  _band_payload shares equal sub-objects instead;
+    the emitted bytes must not differ.
+    """
+    band, bm, ensemble = analysis.band, analysis.matrix, analysis.ensemble
+    votes = {}
+    for instance_id in analysis.disputable.instance_ids:
+        column = bm.fairness[:, bm.fairness_index.position(instance_id)].tolist()
+        favourable = sum(1 for value in column if value == 1)
+        votes[instance_id] = (favourable, len(column) - favourable)
+    return {
+        "label": band.label,
+        "mode": band.policy.mode,
+        "epsilon": ratio_payload(band.epsilon),
+        "run_ids": list(band.run_ids),
+        "run_count": band.run_count,
+        "unique_vector_counts": list(analysis.unique_counts),
+        "ambiguity": ratio_payload(analysis.ambiguity),
+        "disputable": {
+            "count": analysis.disputable.size,
+            "instance_ids": list(analysis.disputable.instance_ids),
+            "votes": {instance_id: list(vote) for instance_id, vote in votes.items()},
+        },
+        "discrepancy": _discrepancy_payload(analysis.discrepancy),
+        "fair_ensemble": {
+            "accuracy": ratio_payload(ensemble.accuracy),
+            "recall": ratio_payload(ensemble.recall),
+            "specificity": ratio_payload(ensemble.specificity),
+            "member_deltas": {
+                run_id: {
+                    "accuracy": signed_payload(delta.accuracy),
+                    "recall": signed_payload(delta.recall),
+                    "specificity": signed_payload(delta.specificity),
+                }
+                for run_id, delta in ensemble.member_deltas.items()
+            },
+        },
+        "group_ambiguity": {
+            group: ratio_payload(value) for group, value in analysis.group_ambiguity.items()
+        }
+        if analysis.group_ambiguity is not None
+        else None,
+        "refinement": [
+            {"label": sub.label, "run_ids": list(sub.run_ids)} for sub in analysis.refinement
+        ]
+        if analysis.refinement is not None
+        else None,
+    }
 
 
 def oracle_refine_lexicographic(band, runs, labels, order):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from helpers import (
     make_index,
     oracle_disputable,
+    oracle_band_payload,
     oracle_fair_ensemble,
     oracle_individually_fair,
     oracle_max_ensemble,
@@ -26,6 +27,7 @@ from multimax.errors import AlignmentError, AnalysisError
 from multimax.fairness import (
     ambiguity,
     ambiguity_by_group,
+    analyse_band,
     band_matrix,
     discrepancy,
     disputable_instances,
@@ -35,6 +37,7 @@ from multimax.fairness import (
     prediction_vector_groups,
     unique_vector_counts,
 )
+from multimax.report import _band_payload, emit_json
 
 
 @st.composite
@@ -70,10 +73,11 @@ class TestHandExample:
         return labels, [a, b, c], whole_band([a, b, c])
 
     def test_disputable(self):
-        _, runs, band = self._fixture()
+        labels, runs, band = self._fixture()
         disputed = disputable_instances(band_matrix(band, runs))
         assert disputed.instance_ids == ("i0001", "i0002")
-        assert disputed.per_instance_vote == {"i0001": (2, 1), "i0002": (1, 2)}
+        votes = _band_payload(analyse_band(band, runs, labels))["disputable"]["votes"]
+        assert votes == {"i0001": [2, 1], "i0002": [1, 2]}
         assert "i0001" in disputed and "i0000" not in disputed
         assert disputed.size == 2
 
@@ -131,9 +135,10 @@ class TestOracles:
 
     @given(band_fixture())
     def test_votes_sum_to_member_count(self, fixture):
-        _, runs, band = fixture
-        disputed = disputable_instances(band_matrix(band, runs))
-        for fav, unf in disputed.per_instance_vote.values():
+        labels, runs, band = fixture
+        votes = _band_payload(analyse_band(band, runs, labels))["disputable"]["votes"]
+        assert list(votes) == list(disputable_instances(band_matrix(band, runs)).instance_ids)
+        for fav, unf in votes.values():
             assert fav + unf == len(runs)
             assert fav >= 1 and unf >= 1
 
@@ -280,6 +285,47 @@ class TestEnsembleReport:
         other = LabelVector(make_index(4, prefix="j"), (1, 1, 0, 0))
         with pytest.raises(AlignmentError):
             fair_ensemble(band_matrix(whole_band(runs), runs), other)
+
+
+@st.composite
+def gain_band_fixture(draw):
+    """A band_fixture of 1 to 8 runs; sometimes every member has one gain pair.
+
+    Members that only permute one vector's bits within the positive and
+    within the negative labels share their TP and FP, so the ensemble gains
+    the same (g_tp, g_fp) over each of them.
+    """
+    labels, runs, band = draw(band_fixture(min_runs=1))
+    if draw(st.booleans()):
+        base = runs[0].preds_validation.values.tolist()
+        y = labels.values.tolist()
+        classes = [[pos for pos, label in enumerate(y) if label == c] for c in (0, 1)]
+        runs = [runs[0]]
+        for k in range(1, draw(st.integers(1, 8))):
+            bits = list(base)
+            for positions in classes:
+                order = draw(st.permutations(positions))
+                for src, dst in zip(positions, order):
+                    bits[dst] = base[src]
+            runs.append(run_from_bits(f"r{k:03d}", labels, bits))
+        band = whole_band(runs)
+    return labels, runs, band
+
+
+class TestBandPayload:
+    @given(gain_band_fixture())
+    def test_matches_member_by_member_oracle(self, fixture):
+        labels, runs, band = fixture
+        analysis = analyse_band(band, runs, labels)
+        payload = _band_payload(analysis)
+        assert emit_json(payload) == emit_json(oracle_band_payload(analysis))
+        assert analysis.ensemble.member_deltas == oracle_fair_ensemble(band, runs, labels)[1]
+        # one deltas dict per distinct gain pair, one vote list per distinct count
+        ensemble = analysis.ensemble
+        gains = set(zip(ensemble.g_tp.tolist(), ensemble.g_fp.tolist()))
+        assert len({id(d) for d in payload["fair_ensemble"]["member_deltas"].values()}) == len(gains)
+        votes = payload["disputable"]["votes"].values()
+        assert len({id(v) for v in votes}) == len({v[0] for v in votes})
 
 
 class TestMemberMatrix:

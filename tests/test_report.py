@@ -3,24 +3,34 @@ from __future__ import annotations
 import json
 import os
 import stat
+import tempfile
 from collections import Counter
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import two_band_runs, write_labels_csv, write_manifest, write_predictions_csv
+from helpers import (
+    make_index,
+    run_from_bits,
+    two_band_runs,
+    write_labels_csv,
+    write_manifest,
+    write_predictions_csv,
+)
 from multimax import ingest
 from multimax.banding import BandingPolicy
-from multimax.core import decimal_display
+from multimax.core import LabelVector, decimal_display
 from multimax.errors import InvariantViolation
 from multimax.fairness import BandMatrix
 from multimax.ingest import AuditManifest
 from multimax.report import (
     audit,
     compare_policies,
+    comparison_payload,
     default_comparison_policies,
     emit_json,
     run_audit,
@@ -199,6 +209,37 @@ class TestComparison:
             "round:2",
         ]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 12).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=1, max_size=8),
+            )
+        ),
+        st.sampled_from(["strict", "round:1", "round:2", "round:3"])
+        | st.tuples(st.integers(0, 3), st.integers(1, 12)).map(lambda pq: f"tol:{pq[0]}/{pq[1]}"),
+    )
+    def test_audited_row_matches_a_fresh_comparison(self, inputs, policy_text):
+        """run_audit takes the audited policy's row from its own banding and top band."""
+        label_bits, rows = inputs
+        label_bits[0], label_bits[-1] = 1, 0
+        labels = LabelVector(make_index(len(label_bits)), tuple(label_bits))
+        runs = [run_from_bits(f"r{k}", labels, bits) for k, bits in enumerate(rows)]
+        policy = BandingPolicy.parse(policy_text)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_labels_csv(Path(tmp) / "labels.csv", labels)
+            write_predictions_csv(Path(tmp) / "predictions.csv", runs)
+            manifest = AuditManifest(
+                labels_path=Path(tmp) / "labels.csv",
+                predictions_path=Path(tmp) / "predictions.csv",
+                favourable_label="1",
+                policy=policy,
+            )
+            outcome = run_audit(manifest)
+        expected = comparison_payload(compare_policies(outcome.runs, default_comparison_policies(policy)))
+        assert outcome.payload["policy_comparison"] == expected
+
 
 class TestValidatePayload:
     def test_missing_key(self):
@@ -234,6 +275,39 @@ class TestEmitJson:
     )
     def test_emit_json_is_indented_json_dumps(self, tree):
         assert emit_json(tree) == json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    @given(st.data())
+    def test_shared_subobjects_emit_as_json_dumps(self, data):
+        """Containers placed many times, at one depth and at several, as json.dumps writes them."""
+        leaves = st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+        containers = st.recursive(
+            st.lists(leaves, max_size=3)
+            | st.lists(leaves, max_size=3).map(tuple)
+            | st.dictionaries(st.text(max_size=3), leaves, max_size=3),
+            lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+            max_leaves=8,
+        )
+        pool = data.draw(st.lists(containers, min_size=1, max_size=4))
+        pool.append([pool[0], {"again": pool[-1]}])  # shared objects nested in a shared object
+        tree = data.draw(
+            st.recursive(
+                st.sampled_from(pool),
+                lambda inner: st.lists(inner, min_size=1, max_size=4)
+                | st.lists(inner, min_size=1, max_size=4).map(tuple)
+                | st.dictionaries(st.text(max_size=3), inner, min_size=1, max_size=4),
+                max_leaves=16,
+            )
+        )
+        assert emit_json(tree) == json.dumps(tree, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    def test_memo_lives_for_one_call(self):
+        shared = {"votes": [1, 2]}
+        payload = {"a": shared, "b": [shared]}
+        first = emit_json(payload)
+        shared["votes"].append(3)
+        second = emit_json(payload)
+        assert second != first
+        assert second == json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
     @pytest.mark.parametrize(
         "value", [{1: "a"}, {None: 1}, [{"a": {2.5: 1}}], {"a": b"x"}, [{1, 2}], object(), [np.float64(0.5)]]
